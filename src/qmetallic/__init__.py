@@ -16,6 +16,7 @@ from .algebra import (
     LaurentPair,
     ExactMatrix,
     det_fraction_free,
+    leading_minors,
     poly_divrem,
     series_invert,
     series_lowest_term,

@@ -10,10 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-# Degree of the zero polynomial. Sentinel only: it is compared against,
-# never fed back into arithmetic.
-NEG_INF = float("-inf")
-
 
 class ExactDivisionError(ArithmeticError):
     """A division that had to be exact left a remainder."""
@@ -138,19 +134,50 @@ class RationalDomain(Domain):
         return a / b
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Smallest odd composite that is a strong pseudoprime to every base above
+# (Sorenson and Webster, Math. Comp. 86 (2017)); below it the test is exact.
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < PRIMALITY_BOUND.
+
+    Larger p raise ValueError: no fixed base set is proved for them.
+    """
+    if p < 2:
+        return False
+    if p >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"primality is decided only below {PRIMALITY_BOUND}, got {p}"
+        )
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeFieldDomain(Domain):
     """Integers modulo a prime, stored as ints in range(p)."""
 
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime")
-            d += 1
+        if not is_prime(p):
+            raise ValueError(f"modulus must be a prime, got {p}")
         self.p = p
         self.characteristic = p
         self.name = f"GF({p})"
@@ -273,8 +300,9 @@ class Poly:
         return not self.coeffs
 
     def degree(self):
-        """Degree, or the NEG_INF sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        """Degree, or -1 for the zero polynomial. The -1 is a sentinel: it
+        orders below every real degree and is never fed into arithmetic."""
+        return len(self.coeffs) - 1
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient. Undefined for zero."""
@@ -832,7 +860,8 @@ class ExactMatrix:
 
 
 def det_fraction_free(matrix, dom: Domain = None):
-    """Determinant by Bareiss fraction-free elimination with row pivoting.
+    """Determinant by Bareiss fraction-free elimination: leading_minors
+    over ZZ, row pivoting over other domains.
 
     Accepts an ExactMatrix, or raw rows plus a domain. All intermediate
     divisions are exact by construction (Sylvester's identity), so the
@@ -850,32 +879,52 @@ def det_fraction_free(matrix, dom: Domain = None):
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     if dom is ZZ:
-        return _bareiss_int([list(r) for r in rows])
+        return leading_minors(rows)[-1]
     return _bareiss_generic(dom, [list(r) for r in rows])
 
 
-def _bareiss_int(m):
-    # Raw-int fast path: same algorithm as the generic one below.
-    n = len(m)
-    sign = 1
+def leading_minors(rows) -> list:
+    """Every leading principal minor of a square integer matrix, from one
+    fraction-free elimination: [1, d_1, ..., d_n], d_k of the top-left
+    k x k block.
+
+    Rows are processed in order; each pivots on its leftmost nonzero
+    column not yet used, and the Bareiss update is applied to every later
+    row. Pivoting only moves rightward, so rows 0..k-1 have pivots in
+    exactly columns 0..k-1 when d_k != 0; d_k is then the last pivot times
+    the sign of the pivot-column permutation. A row without a pivot
+    depends on the rows above it, so every larger minor vanishes. Every
+    division is exact (Sylvester's identity), so the entries stay in ZZ.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("leading minors of a non-square matrix")
+    m = [list(row) for row in rows]
+    live = list(range(n))  # original index of each column not yet pivoted
+    minors = [1]
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi, mk = m[i], m[k]
-            lead = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - lead * mk[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    inversions = 0
+    for i in range(n):
+        row = m[i]
+        pos = next((p for p, x in enumerate(row) if x), None)
+        if pos is None:
+            break
+        piv = row[pos]
+        del live[pos], row[pos]
+        # Each of the pos live columns left of the pivot is pivoted by a
+        # later row. When d_k != 0 that row is above row k, so the sum over
+        # rows < k counts the inversions of their pivot columns.
+        inversions += pos
+        for r in range(i + 1, n):
+            mr = m[r]
+            f = mr.pop(pos)
+            m[r] = [(x * piv - f * y) // prev for x, y in zip(mr, row)]
+        prev = piv
+        if live and live[0] <= i:
+            minors.append(0)
+        else:
+            minors.append(-piv if inversions & 1 else piv)
+    return minors + [0] * (n + 1 - len(minors))
 
 
 def _bareiss_generic(dom: Domain, m):

@@ -231,7 +231,11 @@ def _cmd_verify(args) -> tuple:
 def _cmd_modp(args) -> tuple:
     if args.p is None:
         raise UsageError("modp needs --p")
-    if not is_prime(args.p):
+    try:
+        prime = is_prime(args.p)
+    except ValueError as e:
+        raise UsageError(f"--p: {e}")
+    if not prime:
         raise UsageError(f"--p must be prime, got {args.p}")
     if args.n < 1 or args.ell < 0 or args.max_steps < 1:
         raise UsageError("modp needs --n >= 1, --ell >= 0, --max-steps >= 1")

@@ -1,8 +1,8 @@
 """Hankel determinant oracles and mechanical checkers.
 
 Two independent routes to the determinant family of a q-metallic series:
-brute force (build the matrix of coefficients, run a fraction-free
-determinant) and the product formula read off the periodic Hankel
+brute force (build the matrix of coefficients and read every leading
+minor off one fraction-free elimination) and the product formula read off the periodic Hankel
 fraction. Everything else is cross-examination: value-set and
 antiperiodicity checks, the three-term Gale-Robinson recurrence, the
 contiguity identity linking consecutive coefficient shifts, closed-form
@@ -25,6 +25,8 @@ from .algebra import (
     Series,
     ZZ,
     det_fraction_free,
+    is_prime,
+    leading_minors,
     prime_field,
 )
 from .cfrac import PeriodicHFraction
@@ -237,15 +239,29 @@ def metallic_coefficients(n: int, prec: int) -> tuple:
 
 
 def hankel_bruteforce_values(n: int, ell: int, count: int) -> list:
-    """First count Hankel determinants of the ell-fold shift, by
-    determinant expansion. Results are cached per (n, ell)."""
+    """First count Hankel determinants of the ell-fold shift, from one
+    fraction-free elimination. Results are cached per (n, ell)."""
     cached = _brute_cache.get((n, ell), [])
     if len(cached) < count:
         prec = ell + 2 * count
         F = Series(ZZ, metallic_coefficients(n, prec), prec)
-        cached = [hankel_bruteforce(F, ell, j) for j in range(count)]
+        cached = _bruteforce_window(F, ell, count)
         _brute_cache[(n, ell)] = cached
     return cached[:count]
+
+
+def _bruteforce_window(F: Series, ell: int, count: int) -> list:
+    """[hankel_bruteforce(F, ell, j) for j in range(count)], read off the
+    leading minors of the single (count-1) x (count-1) matrix (f_{a+b+ell})."""
+    size = max(count - 1, 0)
+    if size and F.prec < ell + 2 * size - 1:
+        raise PrecisionError(
+            f"Hankel determinants up to size {size} at shift {ell} need "
+            f"series precision >= {ell + 2 * size - 1}, got {F.prec}"
+        )
+    coeffs = F.coeffs
+    rows = [coeffs[ell + a:ell + a + size] for a in range(size)]
+    return leading_minors(rows)[:count]
 
 
 def hankel_formula_values(n: int, ell: int, count: int) -> list:
@@ -669,17 +685,6 @@ def check_stream_symmetries(n: int) -> list:
 # Prime fields
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _ultimate_period(vals):
     """Empirical (preperiod, period) of a sequence window, or None when
     no period shows at least twice within the window.
@@ -830,10 +835,6 @@ def conjecture_scan(n: int, ell: int, horizon: int) -> ScanReport:
 
 # ---------------------------------------------------------------------------
 # Classical baselines
-
-
-def _bruteforce_window(F: Series, ell: int, count: int) -> list:
-    return [hankel_bruteforce(F, ell, j) for j in range(count)]
 
 
 def baseline_catalan_motzkin() -> list:

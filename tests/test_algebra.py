@@ -16,6 +16,7 @@ from qmetallic import (
     ZZ,
     QQ,
     det_fraction_free,
+    leading_minors,
     poly_divrem,
     prime_field,
     series_invert,
@@ -33,7 +34,7 @@ def P(coeffs, dom=ZZ):
 def test_polynomial_trailing_zeros_are_stripped():
     assert P([1, 2, 0, 0]).coeffs == (1, 2)
     assert P([0, 0]).is_zero()
-    assert P([]).degree() == P([0]).degree()  # the NEG_INF sentinel
+    assert P([]).degree() == P([0]).degree()  # the -1 sentinel
 
 
 def test_zero_polynomial_degree_sentinel_orders_below_everything():
@@ -196,6 +197,42 @@ def test_determinant_matches_cofactor_expansion_random_dims_3_and_4():
         n = rng.choice((3, 4))
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det_fraction_free(ExactMatrix(ZZ, rows)) == cofactor_det(rows)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of sizes 0-9 whose leading minors vanish
+    often: sparse, Hankel-structured, or with one leading block forced
+    singular (its last row a multiple of its first)."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(("sparse", "hankel", "zero_minor")))
+    if kind == "hankel":
+        f = draw(st.lists(st.sampled_from((-1, 0, 0, 1, 2)), min_size=2 * n, max_size=2 * n))
+        return [[f[a + b] for b in range(n)] for a in range(n)]
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2)) if kind == "sparse" else st.integers(-3, 3)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "zero_minor" and n:
+        k = draw(st.integers(1, n))
+        s = draw(st.integers(-2, 2))
+        rows[k - 1][:k] = [s * x for x in rows[0][:k]] if k > 1 else [0]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_leading_minors_match_row_pivoting_bareiss_at_every_size(rows):
+    minors = leading_minors(rows)
+    assert len(minors) == len(rows) + 1
+    for k, minor in enumerate(minors):
+        prefix = [r[:k] for r in rows[:k]]
+        assert minor == det_fraction_free(prefix, QQ)
+        if k <= 5:
+            assert minor == cofactor_det(prefix)
+
+
+def test_leading_minors_rejects_non_square_input():
+    with pytest.raises(ValueError):
+        leading_minors([[1, 2], [3]])
 
 
 def test_determinant_over_rationals_and_prime_fields():

@@ -2,16 +2,20 @@
 
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
+import tomllib
 
 import jsonschema
 import pytest
 
 from qmetallic import CheckResult
 from qmetallic import cli
+from qmetallic.algebra import PRIMALITY_BOUND
 
-SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 SCHEMAS = {
     p.stem: json.loads(p.read_text()) for p in SCHEMA_DIR.glob("*.json")
 }
@@ -202,6 +206,11 @@ def test_modp_requires_prime(capsys):
     assert code == 2 and "prime" in err
 
 
+def test_modp_refuses_a_modulus_past_the_primality_bound(capsys):
+    code, _, err = run(["modp", "--n", "3", "--p", str(PRIMALITY_BOUND)], capsys)
+    assert code == 2 and "primality" in err
+
+
 def test_modp_text(capsys):
     code, out, _ = run(["modp", "--n", "3", "--p", "5", "--format", "text"], capsys)
     assert code == 0 and "fraction stream" in out
@@ -249,9 +258,20 @@ def test_out_flag_writes_the_file(capsys, tmp_path):
     assert json.loads(target.read_text())["n"] == 1
 
 
+def console_script():
+    """argv prefix of the `qmetallic` console script: the installed one, or
+    else the entry point pyproject.toml declares, run in a fresh interpreter."""
+    installed = shutil.which("qmetallic")
+    if installed:
+        return [installed]
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, func = meta["project"]["scripts"]["qmetallic"].split(":")
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 def test_console_script_runs():
     r = subprocess.run(
-        ["qmetallic", "series", "--n", "1", "--prec", "3"],
+        console_script() + ["series", "--n", "1", "--prec", "3"],
         capture_output=True,
         text=True,
     )

@@ -1,5 +1,8 @@
 """Dual-route determinant checks, closed-form reconstructions, mod-p runs."""
 
+import math
+import time
+
 import pytest
 
 from qmetallic import (
@@ -33,7 +36,8 @@ from qmetallic import (
     support_membership,
     support_sets,
 )
-from qmetallic.verify import _ultimate_period
+from qmetallic.algebra import PRIMALITY_BOUND, Series, ZZ
+from qmetallic.verify import _ultimate_period, metallic_coefficients
 
 import goldens
 
@@ -74,6 +78,16 @@ def test_bruteforce_rejects_negative_arguments():
         hankel_bruteforce(f, -1, 2)
     with pytest.raises(ValueError):
         hankel_bruteforce(f, 1, -2)
+
+
+def test_one_pass_window_matches_per_size_determinants():
+    for n in range(1, 5):
+        count = 4 * n * (n + 1)
+        for ell in range(n + 4):
+            prec = ell + 2 * count
+            F = Series(ZZ, metallic_coefficients(n, prec), prec)
+            expected = [hankel_bruteforce(F, ell, j) for j in range(count)]
+            assert hankel_bruteforce_values(n, ell, count) == expected, (n, ell)
 
 
 # --- the two value routes -------------------------------------------------
@@ -301,6 +315,33 @@ def test_baselines_pass_with_expected_names():
 
 def test_primality_helper():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_1e5():
+    assert all(is_prime(p) == trial_division_is_prime(p) for p in range(10**5))
+
+
+def test_primality_is_prompt_for_a_mersenne_prime():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_primality_rejects_pseudoprimes():
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(318665857834031151167461)  # ... to bases 2 through 37
+
+
+def test_primality_refuses_moduli_past_its_proved_bound():
+    with pytest.raises(ValueError):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError):
+        modp_analysis(3, 0, PRIMALITY_BOUND + 2)
 
 
 def test_modp_run_is_conclusive_and_consistent():
