@@ -14,11 +14,8 @@ from .algebra import (
     Poly,
     Series,
     LaurentPair,
-    ExactMatrix,
     det_fraction_free,
     leading_minors,
-    poly_divrem,
-    series_invert,
     series_lowest_term,
     ExactDivisionError,
     PrecisionError,
@@ -55,7 +52,6 @@ from .hfrac import (
 from .verify import (
     CheckResult,
     HankelReport,
-    GaleRobinsonResidual,
     ModpReport,
     ScanReport,
     hankel_bruteforce,
@@ -63,7 +59,6 @@ from .verify import (
     hankel_formula_values,
     hankel_sequence,
     check_value_set_and_periodicity,
-    check_gale_robinson,
     gale_robinson_check,
     check_contiguity,
     check_hfraction_shape,

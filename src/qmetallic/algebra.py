@@ -3,6 +3,11 @@
 Domains (integers, rationals, prime fields), dense univariate polynomials,
 truncated power series, Laurent pairs, and fraction-free determinants.
 Everything here is exact; no floating point anywhere.
+
+Coefficients are plain Python values combined with plain operators
+(`+ - * **`, truthiness for zero tests). ZZ and QQ need nothing more;
+GF(p) arithmetic runs on unreduced ints and `Domain.reduce` brings each
+output coefficient back into range(p) once.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ class Domain:
 
     Instances are stateless and shared (ZZ, QQ, prime_field(p)). Elements
     are plain Python values: int for ZZ and prime fields, Fraction for QQ.
+    Stored elements are always reduced, so an element is zero exactly
+    when it is falsy.
     """
 
     name: str = "?"
-    is_field: bool = False
-    characteristic: int = 0
 
     def __repr__(self):
         return self.name
@@ -43,21 +48,9 @@ class Domain:
     def coerce(self, x):
         raise NotImplementedError
 
-    # int and Fraction share operator semantics; prime fields override.
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    def reduce(self, x):
+        """The stored form of an operator result: the identity on ZZ and QQ."""
+        return x
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -67,11 +60,6 @@ class Domain:
 
     def exact_div(self, a, b):
         raise NotImplementedError
-
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return a**e
 
 
 class IntegerDomain(Domain):
@@ -110,7 +98,6 @@ class IntegerDomain(Domain):
 
 class RationalDomain(Domain):
     name = "QQ"
-    is_field = True
 
     def from_int(self, n):
         return Fraction(n)
@@ -173,13 +160,10 @@ def is_prime(p: int) -> bool:
 class PrimeFieldDomain(Domain):
     """Integers modulo a prime, stored as ints in range(p)."""
 
-    is_field = True
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus must be a prime, got {p}")
         self.p = p
-        self.characteristic = p
         self.name = f"GF({p})"
 
     def __eq__(self, other):
@@ -203,17 +187,8 @@ class PrimeFieldDomain(Domain):
             return x.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def is_unit(self, a):
         return a % self.p != 0
@@ -224,12 +199,7 @@ class PrimeFieldDomain(Domain):
         return pow(a, -1, self.p)
 
     def exact_div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
+        return a * self.inv(b) % self.p
 
 
 ZZ = IntegerDomain()
@@ -257,7 +227,7 @@ class Poly:
     def __init__(self, dom: Domain, coeffs, normalized: bool = False):
         if not normalized:
             coeffs = [dom.coerce(c) for c in coeffs]
-            while coeffs and dom.is_zero(coeffs[-1]):
+            while coeffs and not coeffs[-1]:
                 coeffs.pop()
             coeffs = tuple(coeffs)
         object.__setattr__(self, "dom", dom)
@@ -265,6 +235,14 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @staticmethod
+    def _reduced(dom: Domain, out: list) -> "Poly":
+        """Poly of operator results: reduce each once, strip trailing zeros."""
+        out = [dom.reduce(c) for c in out]
+        while out and not out[-1]:
+            out.pop()
+        return Poly(dom, tuple(out), normalized=True)
 
     # -- construction helpers
 
@@ -289,7 +267,7 @@ class Poly:
         if e < 0:
             raise ValueError("monomial exponent must be >= 0")
         c = dom.coerce(c)
-        if dom.is_zero(c):
+        if not c:
             return Poly.zero(dom)
         coeffs = (dom.from_int(0),) * e + (c,)
         return Poly(dom, coeffs, normalized=True)
@@ -307,7 +285,7 @@ class Poly:
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient. Undefined for zero."""
         for i, c in enumerate(self.coeffs):
-            if not self.dom.is_zero(c):
+            if c:
                 return i
         raise ValueError("the zero polynomial has no valuation")
 
@@ -320,11 +298,6 @@ class Poly:
 
     def constant(self):
         return self.coefficient(0)
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __eq__(self, other):
         return (
@@ -347,33 +320,26 @@ class Poly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = dom.add(out[i], c)
-        while out and dom.is_zero(out[-1]):
-            out.pop()
-        return Poly(dom, tuple(out), normalized=True)
+            out[i] += c
+        return Poly._reduced(dom, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        dom = self.dom
-        return Poly(dom, tuple(dom.neg(c) for c in self.coeffs), normalized=True)
+        return Poly._reduced(self.dom, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         dom = self._same_dom(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(dom)
-        zero = dom.from_int(0)
-        out = [zero] * (len(a) + len(b) - 1)
+        out = [dom.from_int(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if dom.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = dom.add(out[i + j], dom.mul(ca, cb))
-        while out and dom.is_zero(out[-1]):
-            out.pop()
-        return Poly(dom, tuple(out), normalized=True)
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return Poly._reduced(dom, out)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -388,9 +354,8 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        dom = self.dom
-        c = dom.coerce(c)
-        return Poly(dom, tuple(dom.mul(x, c) for x in self.coeffs))
+        c = self.dom.coerce(c)
+        return Poly._reduced(self.dom, [x * c for x in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by q^k (k >= 0)."""
@@ -408,7 +373,7 @@ class Poly:
         if not self.coeffs:
             return self
         low = self.coeffs[:k]
-        if any(not self.dom.is_zero(c) for c in low):
+        if any(low):
             raise ExactDivisionError(f"polynomial not divisible by q^{k}")
         return Poly(self.dom, self.coeffs[k:], normalized=True)
 
@@ -424,29 +389,20 @@ class Poly:
             return Poly.zero(dom), self
         quot = [dom.from_int(0)] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if dom.is_zero(c):
+            c = dom.reduce(rem[i])
+            if not c:
                 continue
             f = dom.exact_div(c, lb)
             quot[i - db] = f
-            for j, cb in enumerate(other.coeffs):
-                rem[i - db + j] = dom.sub(rem[i - db + j], dom.mul(f, cb))
-        return Poly(dom, tuple(quot)), Poly(dom, tuple(rem))
+            for j, cb in enumerate(other.coeffs, i - db):
+                rem[j] -= f * cb
+        return Poly(dom, quot), Poly._reduced(dom, rem)
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divrem(other)
         if not r.is_zero():
             raise ExactDivisionError("polynomial division left a remainder")
         return q
-
-    def eval_at(self, x):
-        """Horner evaluation at a domain element."""
-        dom = self.dom
-        x = dom.coerce(x)
-        acc = dom.from_int(0)
-        for c in reversed(self.coeffs):
-            acc = dom.add(dom.mul(acc, x), c)
-        return acc
 
     def map_domain(self, new_dom: Domain) -> "Poly":
         return Poly(new_dom, tuple(new_dom.coerce(c) for c in self.coeffs))
@@ -461,17 +417,17 @@ class Poly:
     # -- rendering
 
     def __str__(self):
-        return format_terms(self.dom, enumerate(self.coeffs))
+        return format_terms(enumerate(self.coeffs))
 
     def __repr__(self):
         return f"Poly({self.dom}, {list(self.coeffs)!r})"
 
 
-def format_terms(dom: Domain, indexed_coeffs) -> str:
+def format_terms(indexed_coeffs) -> str:
     """Render coefficient data in ascending powers of q: '1 - 2q - q^3'."""
     parts = []
     for i, c in indexed_coeffs:
-        if dom.is_zero(c):
+        if not c:
             continue
         neg = _is_negative(c)
         mag = -c if neg else c
@@ -495,10 +451,6 @@ def _coeff_str(c) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
         return f"({c})"
     return str(c)
-
-
-def poly_divrem(a: Poly, b: Poly):
-    return a.divrem(b)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +494,6 @@ class Series:
     def zero(dom: Domain, prec: int) -> "Series":
         return Series(dom, [], prec)
 
-    @staticmethod
-    def one(dom: Domain, prec: int) -> "Series":
-        return Series(dom, [dom.from_int(1)], prec)
-
     def coefficient(self, i: int):
         if i < 0:
             raise IndexError("negative exponent")
@@ -559,7 +507,7 @@ class Series:
         """Index of the first nonzero known coefficient, or None if the
         series is zero to its precision."""
         for i, c in enumerate(self.coeffs):
-            if not self.dom.is_zero(c):
+            if c:
                 return i
         return None
 
@@ -615,45 +563,34 @@ class Series:
             raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
         return self.dom
 
+    @staticmethod
+    def _reduced(dom: Domain, out) -> "Series":
+        """Series of operator results, each reduced once."""
+        return Series(dom, tuple([dom.reduce(c) for c in out]), normalized=True)
+
     def __add__(self, other):
         dom = self._same_dom(other)
-        n = min(self.prec, other.prec)
-        return Series(
-            dom,
-            tuple(dom.add(a, b) for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-            n,
-            normalized=True,
-        )
+        return Series._reduced(dom, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         dom = self._same_dom(other)
-        n = min(self.prec, other.prec)
-        return Series(
-            dom,
-            tuple(dom.sub(a, b) for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-            n,
-            normalized=True,
-        )
+        return Series._reduced(dom, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        dom = self.dom
-        return Series(dom, tuple(dom.neg(c) for c in self.coeffs), self.prec, normalized=True)
+        return Series._reduced(self.dom, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         dom = self._same_dom(other)
         n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
-        zero = dom.from_int(0)
-        out = [zero] * n
+        out = [dom.from_int(0)] * n
         for i in range(n):
             ca = a[i]
-            if dom.is_zero(ca):
-                continue
-            for j in range(n - i):
-                cb = b[j]
-                if not dom.is_zero(cb):
-                    out[i + j] = dom.add(out[i + j], dom.mul(ca, cb))
-        return Series(dom, tuple(out), n, normalized=True)
+            if ca:
+                for j, cb in enumerate(b[:n - i], i):
+                    if cb:
+                        out[j] += ca * cb
+        return Series._reduced(dom, out)
 
     def mul_poly(self, p: Poly) -> "Series":
         if p.dom != self.dom:
@@ -661,9 +598,8 @@ class Series:
         return self * Series.from_poly(p, self.prec)
 
     def scale(self, c) -> "Series":
-        dom = self.dom
-        c = dom.coerce(c)
-        return Series(dom, tuple(dom.mul(x, c) for x in self.coeffs), self.prec, normalized=True)
+        c = self.dom.coerce(c)
+        return Series._reduced(self.dom, [x * c for x in self.coeffs])
 
     def invert(self) -> "Series":
         """Multiplicative inverse; the constant term must be a unit."""
@@ -674,31 +610,22 @@ class Series:
         if not dom.is_unit(f0):
             raise ExactDivisionError(f"constant term {f0} is not a unit in {dom}")
         inv0 = dom.inv(f0)
-        n = self.prec
-        out = [inv0] + [dom.from_int(0)] * (n - 1)
         f = self.coeffs
-        for m in range(1, n):
-            acc = dom.from_int(0)
-            for i in range(1, m + 1):
-                fi = f[i]
-                if not dom.is_zero(fi):
-                    acc = dom.add(acc, dom.mul(fi, out[m - i]))
-            out[m] = dom.neg(dom.mul(acc, inv0))
-        return Series(dom, tuple(out), n, normalized=True)
+        out = [inv0]
+        for m in range(1, self.prec):
+            acc = sum(fi * out[m - i] for i, fi in enumerate(f[1:m + 1], 1) if fi)
+            out.append(dom.reduce(-acc * inv0))
+        return Series(dom, tuple(out), normalized=True)
 
     def div(self, other: "Series") -> "Series":
         """Divide, cancelling the divisor's valuation v; the dividend must
         vanish to order v. The result loses v terms of precision."""
-        dom = self._same_dom(other)
+        self._same_dom(other)
         v = other.valuation()
         if v is None:
             raise ZeroDivisionError("division by a series that is zero to precision")
-        if v:
-            for i in range(min(v, self.prec)):
-                if not dom.is_zero(self.coeffs[i]):
-                    raise ExactDivisionError(
-                        f"dividend has valuation < divisor valuation {v}"
-                    )
+        if any(self.coeffs[:v]):
+            raise ExactDivisionError(f"dividend has valuation < divisor valuation {v}")
         num = self.shift_down(min(v, self.prec))
         den = other.shift_down(v)
         n = min(num.prec, den.prec)
@@ -708,15 +635,11 @@ class Series:
         return Series(new_dom, [new_dom.coerce(c) for c in self.coeffs], self.prec)
 
     def __str__(self):
-        body = format_terms(self.dom, enumerate(self.coeffs))
+        body = format_terms(enumerate(self.coeffs))
         return f"{body} + O(q^{self.prec})"
 
     def __repr__(self):
         return f"Series({self.dom}, {list(self.coeffs)!r}, prec={self.prec})"
-
-
-def series_invert(f: Series) -> Series:
-    return f.invert()
 
 
 def series_lowest_term(f: Series):
@@ -815,9 +738,7 @@ class LaurentPair:
     def __str__(self):
         if self.poly.is_zero():
             return "0"
-        return format_terms(
-            self.dom, ((i - self.shift, c) for i, c in enumerate(self.poly.coeffs))
-        )
+        return format_terms((i - self.shift, c) for i, c in enumerate(self.poly.coeffs))
 
     def __repr__(self):
         return f"LaurentPair({self.poly!r}, shift={self.shift})"
@@ -835,44 +756,16 @@ def _as_laurent(x, dom: Domain) -> LaurentPair:
 # Fraction-free determinants
 
 
-class ExactMatrix:
-    """A dense matrix over a Domain. Rows are tuples; the matrix is square
-    for determinant purposes but rectangular storage is allowed."""
+def det_fraction_free(rows, dom: Domain):
+    """Determinant of a square matrix over dom, given as rows, by Bareiss
+    fraction-free elimination: leading_minors over ZZ, row pivoting over
+    other domains.
 
-    __slots__ = ("dom", "rows", "nrows", "ncols")
-
-    def __init__(self, dom: Domain, rows):
-        rows = [tuple(dom.coerce(c) for c in row) for row in rows]
-        ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def det(self):
-        return det_fraction_free(self)
-
-
-def det_fraction_free(matrix, dom: Domain = None):
-    """Determinant by Bareiss fraction-free elimination: leading_minors
-    over ZZ, row pivoting over other domains.
-
-    Accepts an ExactMatrix, or raw rows plus a domain. All intermediate
-    divisions are exact by construction (Sylvester's identity), so the
-    computation stays in the domain. The empty 0x0 matrix has determinant 1.
+    All intermediate divisions are exact by construction (Sylvester's
+    identity), so the computation stays in the domain. The empty 0x0
+    matrix has determinant 1.
     """
-    if isinstance(matrix, ExactMatrix):
-        dom, rows = matrix.dom, matrix.rows
-    else:
-        if dom is None:
-            raise TypeError("raw rows need an explicit domain")
-        rows = [tuple(dom.coerce(c) for c in row) for row in matrix]
+    rows = [[dom.coerce(c) for c in row] for row in rows]
     n = len(rows)
     if n == 0:
         return dom.from_int(1)
@@ -880,7 +773,7 @@ def det_fraction_free(matrix, dom: Domain = None):
         raise ValueError("determinant of a non-square matrix")
     if dom is ZZ:
         return leading_minors(rows)[-1]
-    return _bareiss_generic(dom, [list(r) for r in rows])
+    return _bareiss_generic(dom, rows)
 
 
 def leading_minors(rows) -> list:
@@ -932,9 +825,9 @@ def _bareiss_generic(dom: Domain, m):
     sign = 1
     prev = dom.from_int(1)
     for k in range(n - 1):
-        if dom.is_zero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not dom.is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
@@ -944,8 +837,7 @@ def _bareiss_generic(dom: Domain, m):
         for i in range(k + 1, n):
             lead = m[i][k]
             for j in range(k + 1, n):
-                val = dom.sub(dom.mul(m[i][j], pivot), dom.mul(lead, m[k][j]))
-                m[i][j] = dom.exact_div(val, prev)
+                m[i][j] = dom.exact_div(m[i][j] * pivot - lead * m[k][j], prev)
         prev = pivot
     d = m[n - 1][n - 1]
-    return dom.neg(d) if sign < 0 else d
+    return dom.reduce(-d) if sign < 0 else d

@@ -13,18 +13,10 @@ Three families live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Domain,
-    ZZ,
-    QQ,
-    LaurentPair,
-    Poly,
-    PrecisionError,
-    Series,
-)
+from .algebra import Domain, LaurentPair, Poly, PrecisionError, Series
 
 
 class NonConvergenceError(RuntimeError):
@@ -190,9 +182,8 @@ def _laurent_ratio_to_series(num: LaurentPair, den: LaurentPair, prec: int) -> S
     ratio = Series.from_poly(num.poly, need) * den_unit.invert()
     if s >= 0:
         return ratio.shift_up(s).truncate(prec)
-    for i in range(min(-s, ratio.prec)):
-        if not dom.is_zero(ratio.coeffs[i]):
-            raise ValueError("continued fraction value is not a power series")
+    if any(ratio.coeffs[:-s]):
+        raise ValueError("continued fraction value is not a power series")
     return ratio.shift_down(-s).truncate(prec)
 
 
@@ -227,7 +218,7 @@ class HFTerm:
         dom = self.d.dom
         if self.k < 0:
             raise ValueError("term gap k must be >= 0")
-        if dom.is_zero(dom.coerce(self.v)):
+        if not dom.coerce(self.v):
             raise ValueError("term coefficient v must be nonzero")
         if self.d.constant() != dom.from_int(1):
             raise ValueError(f"denominator must have constant term 1, got {self.d}")
@@ -244,7 +235,7 @@ class HFTerm:
         v = dom.coerce(self.v)
         return {
             "k": self.k,
-            "a": _scalar_json(dom.neg(v)),
+            "a": _scalar_json(dom.reduce(-v)),
             "v": _scalar_json(v),
             "D": [_scalar_json(c) for c in self.d.coeffs],
         }
@@ -367,7 +358,7 @@ class PeriodicHFraction:
         if j == 0:
             return CFTerm(Poly.monomial(dom, t.k, t.v), t.d)
         e = terms[j - 1].k + t.k + 2
-        return CFTerm(Poly.monomial(dom, e, dom.neg(dom.coerce(t.v))), t.d)
+        return CFTerm(Poly.monomial(dom, e, -t.v), t.d)
 
     def value(self, prec: int) -> Series:
         """Power series of the fraction mod q^prec."""
@@ -485,7 +476,7 @@ def artin_expand(f: Series, max_quotients: int) -> RegularCF:
     dom = f.dom
     if f.prec == 0:
         raise PrecisionError("cannot expand a zero-precision series")
-    if not dom.is_zero(f.coeffs[0]):
+    if f.coeffs[0]:
         raise ValueError("regular expansion needs f(0) = 0")
     quotients = []
     complete = False
@@ -526,7 +517,7 @@ def hf_to_artin(hf: PeriodicHFraction, nterms: int) -> RegularCF:
         if j == 0:
             c = dom.inv(vj)
         else:
-            c = dom.neg(dom.inv(dom.mul(vj, c)))
+            c = dom.reduce(-dom.inv(vj * c))
         quotients.append(LaurentPair(t.d.scale(c), t.k + 1))
     complete = hf.terminated and len(terms) == hf.n_stored_terms()
     return RegularCF(tuple(quotients), complete=complete).validate()
@@ -549,7 +540,7 @@ def artin_to_hf(cf: RegularCF) -> PeriodicHFraction:
         if j == 0:
             v = dom.inv(c)
         else:
-            v = dom.neg(dom.inv(dom.mul(c, c_prev)))
+            v = dom.reduce(-dom.inv(c * c_prev))
         terms.append(HFTerm(k=k, v=v, d=d).validate())
         c_prev = c
     return PeriodicHFraction(

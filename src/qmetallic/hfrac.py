@@ -10,6 +10,10 @@ builds that cycle directly from its closed-form block structure, the
 models of coefficient-shifted series, their fraction expansions by stream
 truncation, and the support bookkeeping (s_p, eps_p) that evaluates every
 Hankel determinant of such a series by a product formula.
+
+The expansion runs in the model's own ring. The metallic step
+coefficients are units (+-1), so integer models stay over ZZ; only an
+integer model whose step meets a non-unit is expanded again over QQ.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ def alg_step(model: Model) -> AlgStepResult:
         B* = 2 A D/(a q^k) - B,
         C* = -A q^2 / a.
     All divisions are exact; a failing one signals a corrupted model.
-    The lowest coefficient a must be invertible (run over a field if it
-    is not a unit of the coefficient ring).
+    The step runs in the model's own ring, so the lowest coefficient a
+    must be a unit there (ExactDivisionError otherwise).
     """
     model.validate()
     dom = model.dom
@@ -70,20 +74,19 @@ def alg_step(model: Model) -> AlgStepResult:
 
     unit_part = a_pol.exact_div_monomial(k)
     ratio = Series.from_poly(b_pol, k + 2) * Series.from_poly(unit_part, k + 2).invert()
-    d_coeffs = [dom.mul(a, c) for c in ratio.coeffs]
-    c1 = c_pol.coefficient(1)
-    d_coeffs[k + 1] = dom.sub(d_coeffs[k + 1], dom.mul(a, c1))
+    d_coeffs = [a * c for c in ratio.coeffs]
+    d_coeffs[k + 1] -= a * c_pol.coefficient(1)
     d = Poly(dom, d_coeffs)
 
     a_next = (
-        (d * d * a_pol).scale(dom.neg(inv_a))
+        (d * d * a_pol).scale(-inv_a)
         + (b_pol * d).shift(k)
         - c_pol.scale(a).shift(2 * k)
     ).exact_div_monomial(2 * k + 2)
     if a_next.is_zero():
         return AlgStepResult(k=k, a=a, d=d, next_model=None)
-    b_next = (a_pol * d).exact_div_monomial(k).scale(dom.mul(dom.from_int(2), inv_a)) - b_pol
-    c_next = a_pol.shift(2).scale(dom.neg(inv_a))
+    b_next = (a_pol * d).exact_div_monomial(k).scale(2 * inv_a) - b_pol
+    c_next = a_pol.shift(2).scale(-inv_a)
     return AlgStepResult(
         k=k, a=a, d=d, next_model=Model(a_next, b_next, c_next).validate()
     )
@@ -100,19 +103,31 @@ def hfraction_of_quadratic(model: Model, max_steps: int = None) -> PeriodicHFrac
     terminated=False; callers can distinguish the three outcomes by
     inspecting `cycle` and `terminated`.
 
-    Integer models are expanded over the rationals (the step divides by
-    the lowest A-coefficient) and mapped back when every emitted term is
-    integral.
+    The expansion runs in the model's own ring. The step divides by the
+    lowest A-coefficient, so an integer model that meets a non-unit one
+    (the metallic models never do) is expanded again over the rationals
+    and mapped back when every emitted term is integral.
     """
     model.validate()
     if max_steps is None:
         max_steps = 1000
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    orig_dom = model.dom
-    dom = QQ if orig_dom == ZZ else orig_dom
-    state = model.map_domain(dom) if dom is not orig_dom else model
+    try:
+        return _expand(model, max_steps)
+    except ExactDivisionError:
+        if model.dom != ZZ:
+            raise
+    out = _expand(model.map_domain(QQ), max_steps)
+    try:
+        return out.map_domain(ZZ)
+    except (ExactDivisionError, TypeError):
+        return out  # genuinely fractional term data stays in the field
 
+
+def _expand(state: Model, max_steps: int) -> PeriodicHFraction:
+    """The alg_step loop of hfraction_of_quadratic, in state's ring."""
+    dom = state.dom
     terms = []
     seen = {}
     preamble = ()
@@ -134,22 +149,16 @@ def hfraction_of_quadratic(model: Model, max_steps: int = None) -> PeriodicHFrac
             break
         seen[key] = len(terms)
         step = alg_step(state)
-        terms.append(HFTerm(k=step.k, v=dom.neg(step.a), d=step.d).validate())
+        terms.append(HFTerm(k=step.k, v=dom.reduce(-step.a), d=step.d).validate())
         if step.next_model is None:
             preamble = tuple(terms[1:])
             terminated = True
             break
         state = step.next_model
 
-    out = PeriodicHFraction(
+    return PeriodicHFraction(
         head=terms[0], preamble=preamble, cycle=cycle, terminated=terminated
     ).canonical()
-    if orig_dom is not dom:
-        try:
-            out = out.map_domain(orig_dom)
-        except (ExactDivisionError, TypeError):
-            pass  # genuinely fractional term data stays in the field
-    return out
 
 
 def metallic_step_cap(n: int) -> int:
@@ -227,16 +236,16 @@ def shift_model(model: Model, f0) -> Model:
     dom = model.dom
     f0 = dom.coerce(f0)
     a_pol, b_pol, c_pol = model.a, model.b, model.c
-    shifted = a_pol + b_pol.scale(f0) + c_pol.scale(dom.mul(f0, f0))
+    shifted = a_pol + b_pol.scale(f0) + c_pol.scale(f0 * f0)
     if shifted.is_zero():
         raise ValueError("the tail series is zero: the root equals f0 exactly")
-    if not dom.is_zero(shifted.constant()):
+    if shifted.constant():
         raise ValueError(
             f"{f0} is not the constant term of the model's root "
             f"(A + f0*B + f0^2*C has constant term {shifted.constant()})"
         )
     a_new = shifted.exact_div_monomial(1)
-    b_new = b_pol + c_pol.scale(dom.add(f0, f0))
+    b_new = b_pol + c_pol.scale(2 * f0)
     c_new = c_pol.shift(1)
     b0 = b_new.constant()
     if b0 != dom.from_int(1):
@@ -320,7 +329,7 @@ def truncate_hfraction_stream(hf: PeriodicHFraction, drop: int) -> PeriodicHFrac
         raise ValueError(
             f"fraction has fewer than {drop + 1} terms; nothing left to expose"
         ) from None
-    head = HFTerm(new_first.k, dom.neg(dom.coerce(new_first.v)), new_first.d)
+    head = HFTerm(new_first.k, dom.coerce(-new_first.v), new_first.d)
     n_pre, n_cyc = len(hf.preamble), len(hf.cycle)
     if n_cyc:
         if drop >= n_pre + 1:
@@ -443,12 +452,11 @@ def hankel_values_from_hfraction(H: PeriodicHFraction, count: int) -> list:
                 f"fraction prefix certifies determinants only up to index {s}, "
                 f"index {count - 1} requested"
             ) from None
-        running = dom.mul(running, dom.coerce(t.v))
-        parity = (t.k * (t.k + 1) // 2) % 2
-        step = dom.pow(running, t.k + 1)
-        if parity:
-            step = dom.neg(step)
-        delta = dom.mul(delta, step)
+        running = dom.reduce(running * dom.coerce(t.v))
+        step = running ** (t.k + 1)
+        if t.k * (t.k + 1) // 2 % 2:
+            step = -step
+        delta = dom.reduce(delta * step)
         s += 1 + t.k
         if s < count:
             out[s] = delta

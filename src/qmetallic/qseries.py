@@ -24,12 +24,9 @@ def q_integer(n: int, dom: Domain = ZZ):
     of a negative integer is -q^-1 - q^-2 - ... - q^n, polynomial in 1/q).
     Satisfies [n+1]_q = q*[n]_q + 1 for every integer n.
     """
-    one = dom.from_int(1)
     if n >= 0:
-        return Poly(dom, (one,) * n, normalized=True)
-    m = -n
-    neg_one = dom.neg(one)
-    return LaurentPair(Poly(dom, (neg_one,) * m, normalized=True), m)
+        return Poly(dom, (dom.from_int(1),) * n, normalized=True)
+    return LaurentPair(Poly(dom, (dom.from_int(-1),) * -n, normalized=True), -n)
 
 
 def q_integer_inv(n: int, dom: Domain = ZZ) -> LaurentPair:
@@ -40,10 +37,8 @@ def q_integer_inv(n: int, dom: Domain = ZZ) -> LaurentPair:
     """
     if n >= 0:
         return LaurentPair(Poly(dom, (dom.from_int(1),) * n, normalized=True), max(n - 1, 0))
-    m = -n
-    neg_one = dom.neg(dom.from_int(1))
-    # exponents +1 .. +m
-    return LaurentPair(Poly(dom, (dom.from_int(0),) + (neg_one,) * m), 0)
+    # exponents +1 .. -n
+    return LaurentPair(Poly(dom, (0,) + (-1,) * -n), 0)
 
 
 def angle_bracket(n: int, dom: Domain = ZZ) -> Poly:
@@ -86,7 +81,7 @@ class Model:
             raise ValueError(f"model needs B(0) = 1, got {self.b.constant()}")
         if self.c.is_zero():
             raise ValueError("model needs C != 0")
-        if not dom.is_zero(self.c.constant()):
+        if self.c.constant():
             raise ValueError("model needs C(0) = 0")
         return self
 
@@ -137,26 +132,20 @@ def series_of_model(model: Model, prec: int) -> Series:
     c = list(model.c.coeffs) + [zero] * max(0, prec - len(model.c.coeffs))
     b0_inv = dom.inv(b[0])
 
-    f = [zero] * prec
-    g = [zero] * prec  # running coefficients of F^2
-    f[0] = dom.neg(dom.mul(a[0], b0_inv))
-    g[0] = dom.mul(f[0], f[0])
-    for m in range(1, prec):
+    f = []
+    g = []  # running coefficients of F^2
+    for m in range(prec):
         acc = a[m]
         for i in range(1, m + 1):
             bi = b[i]
-            if not dom.is_zero(bi):
-                acc = dom.add(acc, dom.mul(bi, f[m - i]))
+            if bi:
+                acc += bi * f[m - i]
             ci = c[i]
-            if not dom.is_zero(ci):
-                acc = dom.add(acc, dom.mul(ci, g[m - i]))
-        fm = dom.neg(dom.mul(acc, b0_inv))
-        f[m] = fm
+            if ci:
+                acc += ci * g[m - i]
+        f.append(dom.reduce(-acc * b0_inv))
         # update G at index m now that f_m is known
-        gm = zero
-        for i in range(0, m + 1):
-            gm = dom.add(gm, dom.mul(f[i], f[m - i]))
-        g[m] = gm
+        g.append(dom.reduce(sum(f[i] * f[m - i] for i in range(m + 1))))
     return Series(dom, tuple(f), prec, normalized=True)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    Domain,
     PrecisionError,
     Series,
     ZZ,
@@ -29,7 +28,6 @@ from .algebra import (
     leading_minors,
     prime_field,
 )
-from .cfrac import PeriodicHFraction
 from .hfrac import (
     expected_hfraction,
     hankel_values_from_hfraction,
@@ -117,18 +115,6 @@ class HankelReport:
             (self.n, self.ell, j, int(v), self.source)
             for j, v in enumerate(self.values)
         ]
-
-
-@dataclass(frozen=True)
-class GaleRobinsonResidual:
-    """Gamma_j = D_j D_{j+2n+2} - D_{j+1} D_{j+2n+1} + D_{j+n+1}^2,
-    which the determinant sequences must annihilate."""
-
-    j: int
-    value: int
-
-    def to_json_dict(self) -> dict:
-        return {"j": self.j, "value": int(self.value)}
 
 
 @dataclass(frozen=True)
@@ -225,29 +211,10 @@ def hankel_bruteforce(F: Series, ell: int, j: int):
     return det_fraction_free(rows, dom)
 
 
-_series_cache = {}  # n -> coefficient tuple, grown monotonically
-_brute_cache = {}  # (n, ell) -> list of determinant values
-
-
-def metallic_coefficients(n: int, prec: int) -> tuple:
-    """First prec coefficients of the q-metallic series, cached per n."""
-    cached = _series_cache.get(n, ())
-    if len(cached) < prec:
-        cached = tuple(metallic_series(n, prec).coeffs)
-        _series_cache[n] = cached
-    return cached[:prec]
-
-
 def hankel_bruteforce_values(n: int, ell: int, count: int) -> list:
     """First count Hankel determinants of the ell-fold shift, from one
-    fraction-free elimination. Results are cached per (n, ell)."""
-    cached = _brute_cache.get((n, ell), [])
-    if len(cached) < count:
-        prec = ell + 2 * count
-        F = Series(ZZ, metallic_coefficients(n, prec), prec)
-        cached = _bruteforce_window(F, ell, count)
-        _brute_cache[(n, ell)] = cached
-    return cached[:count]
+    fraction-free elimination."""
+    return _bruteforce_window(metallic_series(n, ell + 2 * count), ell, count)
 
 
 def _bruteforce_window(F: Series, ell: int, count: int) -> list:
@@ -355,29 +322,23 @@ def check_value_set_and_periodicity(n: int, ell: int, periods: int = 2) -> Check
     return CheckResult(name, True, None, detail)
 
 
-def check_gale_robinson(n: int, ell: int, horizon: int) -> list:
-    """Residuals Gamma_j for j < horizon; the recurrence holds iff all
-    vanish. Shift range 0..n+1 (formula-backed values)."""
+def gale_robinson_check(n: int, ell: int, horizon: int) -> CheckResult:
+    """The residuals
+        Gamma_j = D_j D_{j+2n+2} - D_{j+1} D_{j+2n+1} + D_{j+n+1}^2
+    vanish for j < horizon; the counterexample is (j, 0, Gamma_j) at the
+    first that does not. Shift range 0..n+1 (formula-backed values)."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     values = hankel_formula_values(n, ell, horizon + 2 * n + 2)
-    out = []
+    detail = f"n={n} ell={ell} horizon={horizon}"
     for j in range(horizon):
         gamma = (
             values[j] * values[j + 2 * n + 2]
             - values[j + 1] * values[j + 2 * n + 1]
             + values[j + n + 1] ** 2
         )
-        out.append(GaleRobinsonResidual(j=j, value=gamma))
-    return out
-
-
-def gale_robinson_check(n: int, ell: int, horizon: int) -> CheckResult:
-    """All-residuals-vanish summary of check_gale_robinson."""
-    detail = f"n={n} ell={ell} horizon={horizon}"
-    for r in check_gale_robinson(n, ell, horizon):
-        if r.value != 0:
-            return CheckResult("gale_robinson", False, (r.j, 0, r.value), detail)
+        if gamma:
+            return CheckResult("gale_robinson", False, (j, 0, gamma), detail)
     return CheckResult("gale_robinson", True, None, detail)
 
 

@@ -146,3 +146,30 @@ MOTZKIN_SHIFT1_PERIOD = [1, 1, 0, -1, -1, 0]
 MOTZKIN_SHIFT2_PREFIX = [1, 2, 2, 3, 4, 4, 5, 6, 6, 7, 8, 8]
 MOTZKIN_SHIFT3_PREFIX = [1, 4, 3, -6, -16, -10, 15, 36, 21, -28, -64,
                          -36, 45]
+
+# --- CLI stdout bytes -------------------------------------------------------
+# (command line, exit code, SHA-256 of stdout). Unlike the literals above
+# these were not entered by hand: they pin the exact bytes of a release
+# whose outputs were checked, so that any rendering or arithmetic change
+# that alters a single byte of a subcommand's output shows up in Tier-1.
+
+CLI_DIGESTS = [
+    ("series --n 3 --prec 20 --format text", 0, "4fd2d48b7314fb211ffa451997dbb7a82c7e06c4ddb32bdf9b927aea02bbd377"),
+    ("series --n 3 --prec 20 --format json", 0, "c18e7573aa92d7014a161565107750905629edb09db62f1a3996c00386a10778"),
+    ("series --n 3 --prec 20 --format csv", 0, "0ca2a1b5c2da90f69cbeb8d9e26a5482a23a3c4f9b1488506a3f124812165ea2"),
+    ("hfrac --n 3 --ell 2 --format text", 0, "fd7b6541f45de58e99d4edccba3ae7f17909fd519ef7473a6681afe5bd862256"),
+    ("hfrac --n 3 --ell 4 --format json", 0, "d5e0c0e07e5d0eaee9531f589924a79d4bd6b0b9e846e9b2b855675d75ec722b"),
+    ("hfrac --n 2 --ell 0 --format csv", 0, "5a1ff3cb5d25d2496f17df03cd65437d1448ac4441b166a89b6efcdd30181afd"),
+    ("hankel --n 2 --ell 1 --horizon 30 --source both --format text", 0, "786544075c87b0bf73aa52f3671e2691a2dd7acba192c357e0ed1c790f8f722c"),
+    ("hankel --n 3 --ell 2 --horizon 20 --source formula --format json", 0, "654ebc901a4d7cee41353a558001a8493ebd53cbb476ecb361f1b1c1a466854a"),
+    ("hankel --n 2 --ell 5 --horizon 12 --source brute --format csv", 0, "e33bca6daabdf531a0392f4b7c3fd08275edb16f11824b478af40206a2df7985"),
+    ("verify --suite thmC --n 1..3 --format text", 0, "6b6e7d3f2f945feabda472a2f70e818249b55ef463dcf7cb51442ec304573a5a"),
+    ("verify --suite thm51 --n 3 --format json", 0, "86c89afecfc4caafa23b5d7ac408507bc206827a1f60b01215613523cc3d9305"),
+    ("verify --suite baselines --n 1 --format csv", 0, "1e832d9e49ad2e3be93552166525a4a50f4549d3df70001eb39d6148d2ced779"),
+    ("modp --n 3 --ell 1 --p 10000000000037 --format text", 0, "d03e89251cb8fec7e8dcb90933dd133c4d7850e4fbf0a79be3252ce45cd6be0f"),
+    ("modp --n 2 --ell 0 --p 7 --format json", 0, "575f4da2ec9864ce2c1eb703fa09ddf68779d25fac4accb8dfa5848a07589514"),
+    ("modp --n 3 --ell 5 --p 3 --format csv", 0, "da7467ecd3de1bdddc025add4a59efb0906d7dbcdf85315e9ff24bef1d3be736"),
+    ("scan --n 2 --format text", 0, "bfc9bd65d929f6e470911fb1c49ec3aa8e111823112d65031705e220f76c2399"),
+    ("scan --n 2 --ell 5 --horizon 30 --format json", 0, "5f1997c5299518e5d44b580884179d361de54b9d6a22bca26f3a5dc391cb6840"),
+    ("scan --n 3 --horizon 20 --format csv", 0, "9355ac50dd483c45d68aa569175e3d4b6fdd4fba74971420b66181103ff7e888"),
+]

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 import shutil
@@ -13,6 +14,8 @@ import pytest
 from qmetallic import CheckResult
 from qmetallic import cli
 from qmetallic.algebra import PRIMALITY_BOUND
+
+import goldens
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -246,6 +249,15 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", goldens.CLI_DIGESTS, ids=[c[0] for c in goldens.CLI_DIGESTS]
+)
+def test_stdout_bytes_match_the_pinned_digest(argv, code, digest, capsys):
+    got_code, out, _ = run(argv.split(), capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_flag_writes_the_file(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from qmetallic import (
+    ExactDivisionError,
     Poly,
     QQ,
     Series,
@@ -140,6 +141,53 @@ def test_expansion_agrees_with_greedy_on_certified_overlap():
         approx = greedy_hfraction(metallic_series(n, 50), max_terms=20)
         got = approx.stream(20)
         assert exact.stream(len(got)) == got
+
+
+def test_integer_expansion_equals_the_rational_one_mapped_back():
+    for n in range(1, 9):
+        cap = metallic_step_cap(n)
+        models = [metallic_model(n)]
+        models += [shifted_metallic_model(n, ell) for ell in range(1, n + 2)]
+        for model in models:
+            over_zz = hfraction_of_quadratic(model, cap)
+            assert over_zz.dom == ZZ
+            over_qq = hfraction_of_quadratic(model.map_domain(QQ), cap)
+            assert over_qq.dom == QQ
+            assert over_qq.map_domain(ZZ) == over_zz
+
+
+def test_metallic_expansion_never_leaves_the_integers(monkeypatch):
+    def refuse(self, new_dom):
+        raise AssertionError(f"model mapped into {new_dom}")
+
+    monkeypatch.setattr(Model, "map_domain", refuse)
+    for n in range(1, 7):
+        assert hfraction_of_quadratic(metallic_model(n)) == expected_hfraction(n)
+
+
+def test_non_unit_lowest_coefficient_falls_back_to_the_rationals():
+    q = Poly.q(ZZ)
+    # v = 2 is not a unit of ZZ, but every term is integral: mapped back
+    model = Model(a=Poly(ZZ, [-2]), b=Poly(ZZ, [1]) + q, c=q)
+    with pytest.raises(ExactDivisionError):
+        alg_step(model)
+    hf = hfraction_of_quadratic(model)
+    assert hf.dom == ZZ and not hf.preamble and not hf.terminated
+    assert term_tuple(hf.head) == (0, 2, [1, 3])
+    assert [term_tuple(t) for t in hf.cycle] == [(0, 6, [1, 5])]
+
+    # fractional terms stay over QQ
+    hf = hfraction_of_quadratic(Model(a=Poly(ZZ, [2, 1]), b=Poly(ZZ, [1, 1]), c=q), 6)
+    assert hf.dom == QQ and not hf.preamble and not hf.terminated
+    as_text = lambda t: (t.k, str(t.v), [str(c) for c in t.d.coeffs])
+    assert as_text(hf.head) == (0, "-2", ["1", "-3/2"])
+    assert [as_text(t) for t in hf.cycle] == [
+        (0, "9/4", ["1", "-7/2"]),
+        (0, "2", ["1", "-4"]),
+        (1, "9", ["1", "-3", "-6"]),
+        (0, "9", ["1", "-4"]),
+        (0, "2", ["1", "-7/2"]),
+    ]
 
 
 # --- shifted models ----------------------------------------------------------------

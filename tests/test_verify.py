@@ -13,7 +13,6 @@ from qmetallic import (
     check_contiguity,
     check_delta_symmetry,
     check_explicit_reconstruction,
-    check_gale_robinson,
     check_hfraction_shape,
     check_profile_identities,
     check_stream_symmetries,
@@ -36,8 +35,9 @@ from qmetallic import (
     support_membership,
     support_sets,
 )
-from qmetallic.algebra import PRIMALITY_BOUND, Series, ZZ
-from qmetallic.verify import _ultimate_period, metallic_coefficients
+from qmetallic import verify
+from qmetallic.algebra import PRIMALITY_BOUND
+from qmetallic.verify import _ultimate_period
 
 import goldens
 
@@ -84,8 +84,7 @@ def test_one_pass_window_matches_per_size_determinants():
     for n in range(1, 5):
         count = 4 * n * (n + 1)
         for ell in range(n + 4):
-            prec = ell + 2 * count
-            F = Series(ZZ, metallic_coefficients(n, prec), prec)
+            F = metallic_series(n, ell + 2 * count)
             expected = [hankel_bruteforce(F, ell, j) for j in range(count)]
             assert hankel_bruteforce_values(n, ell, count) == expected, (n, ell)
 
@@ -180,10 +179,20 @@ def test_value_set_checker_rejects_unproved_shifts():
 
 def test_gale_robinson_residuals_vanish():
     for ell in range(3):
-        residuals = check_gale_robinson(1, ell, 12)
-        assert [r.j for r in residuals] == list(range(12))
-        assert all(r.value == 0 for r in residuals)
-        assert gale_robinson_check(1, ell, 12).passed
+        assert gale_robinson_check(1, ell, 12) == CheckResult(
+            "gale_robinson", True, None, f"n=1 ell={ell} horizon=12"
+        )
+
+
+def test_gale_robinson_reports_the_first_nonzero_residual(monkeypatch):
+    # n=2, ell=1 values: 1 1 0 -1 0 0 -1 0 1 1 -1 ...; D_9 first enters
+    # Gamma_j at j = 9 - (2n+2) = 3, where Gamma_3 = D_3 D_9 - D_4 D_8 + D_6^2
+    values = hankel_formula_values(2, 1, 18)
+    values[9] += 2
+    monkeypatch.setattr(verify, "hankel_formula_values", lambda *args: list(values))
+    result = gale_robinson_check(2, 1, 12)
+    assert not result.passed
+    assert result.counterexample == (3, 0, -1 * 3 - 0 * 1 + (-1) ** 2)
 
 
 def test_contiguity_small():
