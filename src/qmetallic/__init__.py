@@ -21,10 +21,6 @@ from .algebra import (
     PrecisionError,
 )
 from .cfrac import (
-    CFTerm,
-    CFTermList,
-    NonConvergenceError,
-    eval_cf,
     HFTerm,
     PeriodicHFraction,
     greedy_hfraction,

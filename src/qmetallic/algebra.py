@@ -255,10 +255,6 @@ class Poly:
         return Poly(dom, (dom.from_int(1),), normalized=True)
 
     @staticmethod
-    def const(dom: Domain, c) -> "Poly":
-        return Poly(dom, (c,))
-
-    @staticmethod
     def q(dom: Domain) -> "Poly":
         return Poly.monomial(dom, 1)
 
@@ -545,17 +541,6 @@ class Series:
     def __hash__(self):
         return hash((self.dom.name, self.prec, self.coeffs))
 
-    def agrees_with(self, other: "Series", prec: int = None) -> bool:
-        """Coefficientwise equality up to min precision (or an explicit one)."""
-        if self.dom != other.dom:
-            return False
-        n = min(self.prec, other.prec)
-        if prec is not None:
-            if prec > n:
-                raise PrecisionError("comparison precision exceeds operands")
-            n = prec
-        return self.coeffs[:n] == other.coeffs[:n]
-
     def _same_dom(self, other) -> Domain:
         if not isinstance(other, Series):
             raise TypeError(f"expected Series, got {type(other).__name__}")
@@ -662,8 +647,9 @@ class LaurentPair:
     """A Laurent polynomial with finite negative tail: poly(q) * q^(-shift).
 
     Normalized so that shift == 0 or poly has a nonzero constant term.
-    Used for values like the q-deformation of negative integers and for
-    continued-fraction entries polynomial in 1/q.
+    Plain data with no arithmetic: it holds the q-deformation of negative
+    integers and the partial quotients, polynomial in 1/q, of regular
+    continued fractions.
     """
 
     __slots__ = ("poly", "shift")
@@ -683,10 +669,6 @@ class LaurentPair:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPair is immutable")
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LaurentPair":
-        return LaurentPair(p, 0)
 
     @property
     def dom(self) -> Domain:
@@ -718,23 +700,6 @@ class LaurentPair:
     def __hash__(self):
         return hash((self.poly, self.shift))
 
-    def __add__(self, other):
-        other = _as_laurent(other, self.dom)
-        s = max(self.shift, other.shift)
-        return LaurentPair(
-            self.poly.shift(s - self.shift) + other.poly.shift(s - other.shift), s
-        )
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other, self.dom))
-
-    def __neg__(self):
-        return LaurentPair(-self.poly, self.shift)
-
-    def __mul__(self, other):
-        other = _as_laurent(other, self.dom)
-        return LaurentPair(self.poly * other.poly, self.shift + other.shift)
-
     def __str__(self):
         if self.poly.is_zero():
             return "0"
@@ -742,14 +707,6 @@ class LaurentPair:
 
     def __repr__(self):
         return f"LaurentPair({self.poly!r}, shift={self.shift})"
-
-
-def _as_laurent(x, dom: Domain) -> LaurentPair:
-    if isinstance(x, LaurentPair):
-        return x
-    if isinstance(x, Poly):
-        return LaurentPair(x, 0)
-    raise TypeError(f"cannot treat {type(x).__name__} as a Laurent pair")
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +778,8 @@ def leading_minors(rows) -> list:
 
 
 def _bareiss_generic(dom: Domain, m):
+    # Over a field: each division by the previous pivot is exact, so it is
+    # one multiplication by an inverse taken once per pivot.
     n = len(m)
     sign = 1
     prev = dom.from_int(1)
@@ -834,10 +793,11 @@ def _bareiss_generic(dom: Domain, m):
             else:
                 return dom.from_int(0)
         pivot = m[k][k]
+        inv_prev = dom.inv(prev)
         for i in range(k + 1, n):
             lead = m[i][k]
             for j in range(k + 1, n):
-                m[i][j] = dom.exact_div(m[i][j] * pivot - lead * m[k][j], prev)
+                m[i][j] = dom.reduce((m[i][j] * pivot - lead * m[k][j]) * inv_prev)
         prev = pivot
     d = m[n - 1][n - 1]
     return dom.reduce(-d) if sign < 0 else d

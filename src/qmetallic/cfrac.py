@@ -1,14 +1,17 @@
 """Continued fractions over exact coefficient rings.
 
-Three families live here:
+Two families live here:
 
-* generic evaluation of (possibly periodic) continued fractions whose
-  entries are polynomials in q or in 1/q, truncated to a target precision;
 * Hankel continued fractions (delta = 2 super fractions): terms
   v_j q^(...)/D_j with deg(D_j) <= k_j + 1 and D_j(0) = 1, expanded
   greedily from a series and stored with explicit preperiod/cycle;
 * regular continued fractions with partial quotients polynomial in 1/q,
   and the exact dictionary translating them to and from Hankel fractions.
+
+Both evaluate to a power series mod q^prec by one bottom-up pass over
+truncated series. Every level multiplies its tail by a positive power of
+q, so a fixed number of levels settles the coefficients below q^prec and
+no convergence test is needed.
 """
 
 from __future__ import annotations
@@ -19,172 +22,24 @@ from fractions import Fraction
 from .algebra import Domain, LaurentPair, Poly, PrecisionError, Series
 
 
-class NonConvergenceError(RuntimeError):
-    """A continued-fraction evaluation stopped gaining precision."""
-
-    def __init__(self, term_index: int, message: str = ""):
-        self.term_index = term_index
-        super().__init__(
-            message or f"no precision gained around term {term_index}"
-        )
-
-
 # ---------------------------------------------------------------------------
-# Generic evaluation
+# Evaluation
 
 
-@dataclass(frozen=True)
-class CFTerm:
-    """One continued-fraction level: numerator over denominator."""
+def _levels_value(levels, dom: Domain, prec: int) -> Series:
+    """n_0/(d_0 + n_1/(d_1 + ...)) mod q^prec for a finite list of
+    polynomial levels (n_j, d_j), with every d_j(0) a unit and n_j(0) = 0
+    for j >= 1.
 
-    num: object  # Poly or LaurentPair
-    den: object  # Poly or LaurentPair
-
-
-@dataclass(frozen=True)
-class CFTermList:
-    """lead + num_0/(den_0 + num_1/(den_1 + ...)).
-
-    `terms` is the non-repeating part; `cycle`, if nonempty, repeats
-    forever after it.
+    Bottom-up on a pair: with the tail a/b, n/(d + a/b) = n b/(d b + a),
+    so one series is inverted in all instead of one per level.
     """
-
-    lead: object  # Poly or LaurentPair
-    terms: tuple = ()
-    cycle: tuple = ()
-
-    def term(self, i: int) -> CFTerm:
-        if i < len(self.terms):
-            return self.terms[i]
-        if not self.cycle:
-            raise IndexError(f"finite continued fraction has {len(self.terms)} terms")
-        return self.cycle[(i - len(self.terms)) % len(self.cycle)]
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.cycle
-
-
-def _lp(x, dom: Domain) -> LaurentPair:
-    if isinstance(x, LaurentPair):
-        return x
-    if isinstance(x, Poly):
-        return LaurentPair(x, 0)
-    return LaurentPair(Poly.const(dom, x), 0)
-
-
-def _truncate_lp(x: LaurentPair, max_exp: int) -> LaurentPair:
-    # drop coefficients above q^max_exp; exactness below is unaffected
-    cut = max_exp + x.shift + 1
-    if cut < 0:
-        return LaurentPair(Poly.zero(x.dom), 0)
-    if cut >= len(x.poly.coeffs):
-        return x
-    return LaurentPair(Poly(x.dom, x.poly.coeffs[:cut]), x.shift)
-
-
-def eval_cf(cf: CFTermList, prec: int, dom: Domain = None) -> Series:
-    """Evaluate a continued fraction as a power series mod q^prec.
-
-    Finite fractions evaluate exactly and are then truncated. Periodic
-    fractions are evaluated convergent by convergent until the tail can no
-    longer affect coefficients below q^prec; if a full pass over the cycle
-    fails to increase the guaranteed valuation of the tail, the fraction
-    does not converge as a power series and NonConvergenceError is raised.
-    """
-    if dom is None:
-        probe = cf.lead if isinstance(cf.lead, (Poly, LaurentPair)) else None
-        if probe is None:
-            for t in list(cf.terms) + list(cf.cycle):
-                probe = t.num if isinstance(t.num, (Poly, LaurentPair)) else None
-                if probe is not None:
-                    break
-        if probe is None:
-            raise TypeError("cannot infer a domain; pass dom explicitly")
-        dom = probe.dom
-    if prec < 0:
-        raise PrecisionError("precision must be >= 0")
-
-    lead = _lp(cf.lead, dom)
-    # Convergents: value after j terms is (lead*Q_j + P_j)/Q_j with the
-    # standard three-term recurrences seeded for a fraction with no lead.
-    p_prev, q_prev = _lp(Poly.one(dom), dom), _lp(Poly.zero(dom), dom)
-    p_cur, q_cur = _lp(Poly.zero(dom), dom), _lp(Poly.one(dom), dom)
-
-    nfinite = len(cf.terms)
-    ncycle = len(cf.cycle)
-    total = nfinite if cf.is_finite else None
-
-    # Exact truncation-error bookkeeping: the difference between successive
-    # convergents h_i - h_{i-1} has valuation
-    #   sum of numerator valuations - val(Q_i) - val(Q_{i-1}),
-    # so once that quantity stays >= prec for a whole cycle pass the tail
-    # cannot touch the reported coefficients.
-    num_val_sum = 0
-    max_shift = lead.shift
-    ok_run = 0
-    ok_needed = max(ncycle, 1) + 1
-    stall = 0
-    stall_limit = max(4 * max(ncycle, 1), 64)
-    best_gap = None
-
-    i = 0
-    while True:
-        if total is not None and i >= total:
-            break
-        if total is None and ok_run >= ok_needed:
-            break
-        if total is None and stall > stall_limit:
-            raise NonConvergenceError(i)
-        t = cf.term(i)
-        num, den = _lp(t.num, dom), _lp(t.den, dom)
-        if num.is_zero():
-            raise ValueError(f"zero numerator at term {i}")
-        p_next = den * p_cur + num * p_prev
-        q_next = den * q_cur + num * q_prev
-        if q_next.is_zero():
-            raise ZeroDivisionError(f"vanishing convergent denominator at term {i}")
-        num_val_sum += num.min_exponent()
-        max_shift = max(max_shift, p_next.shift, q_next.shift)
-        # tails beyond prec + shift can never reach coefficients < prec
-        keep = prec + max_shift + 2
-        p_next, q_next = _truncate_lp(p_next, keep), _truncate_lp(q_next, keep)
-        p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_next, q_next
-        i += 1
-        if total is None and i >= 2 and not q_cur.is_zero() and not q_prev.is_zero():
-            gap = num_val_sum - q_cur.min_exponent() - q_prev.min_exponent()
-            ok_run = ok_run + 1 if gap >= prec else 0
-            if best_gap is None or gap > best_gap:
-                best_gap, stall = gap, 0
-            else:
-                stall += 1
-
-    value_num = lead * q_cur + p_cur
-    return _laurent_ratio_to_series(value_num, q_cur, prec)
-
-
-def _laurent_ratio_to_series(num: LaurentPair, den: LaurentPair, prec: int) -> Series:
-    """num/den as a power series mod q^prec; raises if the ratio is not a
-    power series (negative valuation)."""
-    dom = num.dom
-    if den.is_zero():
-        raise ZeroDivisionError("continued fraction value has zero denominator")
-    if num.is_zero():
-        return Series.zero(dom, prec)
-    dv = den.poly.valuation()
-    # value = q^s * num.poly / (den.poly / q^dv) with a unit-series divisor
-    s = den.shift - num.shift - dv
-    need = prec - s
-    if need <= 0:
-        return Series.zero(dom, prec)
-    den_unit = Series.from_poly(den.poly.exact_div_monomial(dv), need)
-    ratio = Series.from_poly(num.poly, need) * den_unit.invert()
-    if s >= 0:
-        return ratio.shift_up(s).truncate(prec)
-    if any(ratio.coeffs[:-s]):
-        raise ValueError("continued fraction value is not a power series")
-    return ratio.shift_down(-s).truncate(prec)
+    a, b = Series.zero(dom, prec), Series.from_poly(Poly.one(dom), prec)
+    if not prec:
+        return a
+    for num, den in reversed(levels):
+        a, b = Series.from_poly(num, prec) * b, Series.from_poly(den, prec) * b + a
+    return a * b.invert()
 
 
 # ---------------------------------------------------------------------------
@@ -325,44 +180,27 @@ class PeriodicHFraction:
             terminated=self.terminated,
         )
 
-    def to_cfterms(self, count: int = None) -> CFTermList:
-        """Render as an evaluatable continued fraction.
+    def rendered(self, j: int) -> tuple:
+        """(numerator, denominator) polynomials of level j: v_0 q^k_0 over
+        D_0 for the head, -v_j q^(k_(j-1) + k_j + 2) over D_j after it.
 
-        Periodic fractions render exactly (preamble + repeating cycle);
-        count is only consulted for non-periodic prefixes, where it bounds
-        the number of terms used.
+        A numerator pairs a term's k with its predecessor's, so in a cycle
+        the level of cycle[0] repeats only from the second pass on.
         """
-        dom = self.dom
-        if self.cycle:
-            # Each rendered numerator pairs a term's k with its
-            # predecessor's; only from the second pass on is the
-            # predecessor of cycle[0] equal to cycle[-1], so one full
-            # pass is unrolled into the non-repeating part.
-            ncyc = len(self.cycle)
-            n_fixed = 1 + len(self.preamble) + ncyc
-            terms = self.stream(n_fixed + ncyc)
-            rendered = [self._render_term(terms, j) for j in range(n_fixed + ncyc)]
-            return CFTermList(
-                lead=Poly.zero(dom),
-                terms=tuple(rendered[:n_fixed]),
-                cycle=tuple(rendered[n_fixed:]),
-            )
-        n = self.n_stored_terms() if count is None else min(count, self.n_stored_terms())
-        terms = self.stream(n)
-        cf_terms = [self._render_term(terms, j) for j in range(len(terms))]
-        return CFTermList(lead=Poly.zero(dom), terms=tuple(cf_terms), cycle=())
-
-    def _render_term(self, terms, j: int) -> CFTerm:
-        dom = self.dom
-        t = terms[j]
+        t = self.term(j)
         if j == 0:
-            return CFTerm(Poly.monomial(dom, t.k, t.v), t.d)
-        e = terms[j - 1].k + t.k + 2
-        return CFTerm(Poly.monomial(dom, e, -t.v), t.d)
+            return Poly.monomial(self.dom, t.k, t.v), t.d
+        e = self.term(j - 1).k + t.k + 2
+        return Poly.monomial(self.dom, e, -t.v), t.d
 
     def value(self, prec: int) -> Series:
-        """Power series of the fraction mod q^prec."""
-        return eval_cf(self.to_cfterms(), prec, self.dom)
+        """Power series of the fraction mod q^prec.
+
+        Every numerator after the head has valuation >= 2, so the first
+        prec // 2 + 1 levels fix every coefficient below q^prec.
+        """
+        count = len(self.stream(prec // 2 + 1))
+        return _levels_value([self.rendered(j) for j in range(count)], self.dom, prec)
 
     def map_domain(self, new_dom: Domain) -> "PeriodicHFraction":
         conv = lambda t: HFTerm(t.k, new_dom.coerce(t.v), t.d.map_domain(new_dom))
@@ -452,17 +290,18 @@ class RegularCF:
     def depth(self) -> int:
         return len(self.quotients)
 
-    def to_cfterms(self) -> CFTermList:
-        dom = self.dom
-        one = Poly.one(dom)
-        return CFTermList(
-            lead=Poly.zero(dom),
-            terms=tuple(CFTerm(LaurentPair(one, 0), a) for a in self.quotients),
-            cycle=(),
-        )
-
     def value(self, prec: int) -> Series:
-        return eval_cf(self.to_cfterms(), prec, self.dom)
+        """Power series of the fraction mod q^prec.
+
+        With a_j = P_j(q) q^(-m_j), multiplying through level by level
+        gives q^m_1/(P_1 + q^(m_1 + m_2)/(P_2 + q^(m_2 + m_3)/(...))).
+        """
+        dom = self.dom
+        levels, m_prev = [], 0
+        for a in self.quotients:
+            levels.append((Poly.monomial(dom, m_prev + a.shift), a.poly))
+            m_prev = a.shift
+        return _levels_value(levels, dom, prec)
 
 
 def artin_expand(f: Series, max_quotients: int) -> RegularCF:

@@ -71,7 +71,8 @@ def _csv_table(header, rows) -> str:
 
 
 def _parse_n_range(text: str) -> list:
-    """n values from '3', '1..6', or a comma list of both forms."""
+    """n values from '3', '1..6', or a comma list of both forms; repeats
+    are dropped and the first-seen order kept."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -91,7 +92,7 @@ def _parse_n_range(text: str) -> list:
                 raise UsageError(f"bad value {chunk!r} in --n")
     if not out or any(n < 1 for n in out):
         raise UsageError("--n values must be >= 1")
-    return out
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +147,17 @@ def _cmd_hfrac(args) -> tuple:
             part = "head" if i == 0 else ("preamble" if i < offset else "cycle")
             rows.append((n, ell, i, part, t.k, int(t.v), str(t.d)))
         return EXIT_OK, _csv_table(("n", "ell", "index", "part", "k", "v", "den"), rows)
-    rendered = hf.to_cfterms()
+    level = lambda j: "({})/({})".format(*hf.rendered(j))
     lines = [f"n={n} ell={ell} period={len(hf.cycle)} offset={offset}"]
-    head = rendered.terms[0]
-    lines.append(f"head: ({head.num})/({head.den})")
-    for i, t in enumerate(hf.preamble):
-        ct = rendered.terms[1 + i]
-        lines.append(f"  [{1 + i}] ({ct.num})/({ct.den})")
+    lines.append(f"head: {level(0)}")
+    for j in range(1, offset):
+        lines.append(f"  [{j}] {level(j)}")
     if hf.cycle:
-        lines.append(f"cycle of {len(hf.cycle)} terms, repeating from index {offset}:")
-        for i, ct in enumerate(rendered.cycle):
-            lines.append(f"  [{offset + i}] ({ct.num})/({ct.den})")
+        ncyc = len(hf.cycle)
+        lines.append(f"cycle of {ncyc} terms, repeating from index {offset}:")
+        # printed from the second pass, where cycle[0] follows cycle[-1]
+        for j in range(offset, offset + ncyc):
+            lines.append(f"  [{j}] {level(j + ncyc)}")
     if hf.terminated:
         lines.append("terminating fraction (rational series)")
     return EXIT_OK, "\n".join(lines) + "\n"

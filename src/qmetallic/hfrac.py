@@ -379,15 +379,6 @@ class SupportProfile:
     support: frozenset
     period_len: int
 
-    def contains(self, j: int) -> bool:
-        if j < 0:
-            raise ValueError("index must be >= 0")
-        if j > self.s_seq[-1]:
-            raise ValueError(
-                f"membership certified only up to {self.s_seq[-1]}, asked for {j}"
-            )
-        return j in self.support
-
     def to_json_dict(self) -> dict:
         return {
             "k": list(self.k_seq),

@@ -609,9 +609,10 @@ def check_stream_symmetries(n: int) -> list:
         raise ValueError("stream symmetries assume n >= 3")
     from .algebra import Poly
 
-    cf = expected_hfraction(n).to_cfterms()
-    alpha = lambda i: cf.term(i).num
-    beta = lambda i: cf.term(i).den
+    hf = expected_hfraction(n)
+    levels = tuple(hf.rendered(j) for j in range(6 * n - 1))
+    alpha = lambda i: levels[i][0]
+    beta = lambda i: levels[i][1]
     q = Poly.q(ZZ)
     detail = f"n={n}"
     out = []

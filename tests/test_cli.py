@@ -176,6 +176,13 @@ def test_verify_text_lines(capsys):
     assert code == 0 and out.count("PASS gale_robinson") == 3
 
 
+def test_verify_drops_repeated_n_values(capsys):
+    argv = ["verify", "--suite", "thmA", "--n", "3,3,1..3"]
+    code, payload, _ = run_json(argv, "verify", capsys)
+    assert code == 0 and payload["n_values"] == [3, 1, 2]
+    assert len(payload["checks"]) == 3
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, _ = run(["verify", "--suite", "nope", "--n", "1"], capsys)
     assert code == 2

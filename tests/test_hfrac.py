@@ -250,8 +250,7 @@ def test_shift_chain_extends_past_the_closed_forms():
 
 
 def rendered(hf, count):
-    cf = hf.to_cfterms()
-    return [(str(cf.term(i).num), str(cf.term(i).den)) for i in range(count)]
+    return [tuple(map(str, hf.rendered(i))) for i in range(count)]
 
 
 def test_shift_fraction_via_truncation_matches_direct_expansion():
