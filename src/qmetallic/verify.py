@@ -282,6 +282,8 @@ def hankel_sequence(n: int, ell: int, horizon: int, source: str = "both") -> Han
 
 
 def _compare_lists(name: str, expected, got, detail: str = "") -> CheckResult:
+    if expected == got:
+        return CheckResult(name, True, None, detail)
     for j, (e, g) in enumerate(zip(expected, got)):
         if e != g:
             return CheckResult(name, False, (j, e, g), detail)
@@ -309,16 +311,18 @@ def check_value_set_and_periodicity(n: int, ell: int, periods: int = 2) -> Check
     values = hankel_formula_values(n, ell, count)
     detail = f"n={n} ell={ell} periods={periods}"
     name = "value_set_and_periodicity"
-    for j, v in enumerate(values):
-        if v not in (-1, 0, 1):
-            return CheckResult(name, False, (j, "value in {-1,0,1}", v), detail)
-    sign = -1 if n % 2 else 1
-    for j in range(periods * P):
-        if values[j + P] != sign * values[j]:
-            return CheckResult(
-                name, False, (j, sign * values[j], values[j + P]),
-                detail + f" (index {j}+{P})",
-            )
+    if not set(values) <= {-1, 0, 1}:
+        for j, v in enumerate(values):
+            if v not in (-1, 0, 1):
+                return CheckResult(name, False, (j, "value in {-1,0,1}", v), detail)
+    want = values[:periods * P]
+    if n % 2:
+        want = [-v for v in want]
+    got = values[P:]
+    if got != want:
+        for j, (w, g) in enumerate(zip(want, got)):
+            if w != g:
+                return CheckResult(name, False, (j, w, g), detail + f" (index {j}+{P})")
     return CheckResult(name, True, None, detail)
 
 
@@ -331,14 +335,20 @@ def gale_robinson_check(n: int, ell: int, horizon: int) -> CheckResult:
         raise ValueError("horizon must be >= 0")
     values = hankel_formula_values(n, ell, horizon + 2 * n + 2)
     detail = f"n={n} ell={ell} horizon={horizon}"
-    for j in range(horizon):
-        gamma = (
-            values[j] * values[j + 2 * n + 2]
-            - values[j + 1] * values[j + 2 * n + 1]
-            + values[j + n + 1] ** 2
+    m = 2 * n + 2
+    gammas = [
+        a * d - b * c + e * e
+        for a, b, c, d, e in zip(
+            values[:horizon],
+            values[1:horizon + 1],
+            values[m - 1:horizon + m - 1],
+            values[m:horizon + m],
+            values[n + 1:horizon + n + 1],
         )
-        if gamma:
-            return CheckResult("gale_robinson", False, (j, 0, gamma), detail)
+    ]
+    if any(gammas):
+        j = next(j for j, gamma in enumerate(gammas) if gamma)
+        return CheckResult("gale_robinson", False, (j, 0, gammas[j]), detail)
     return CheckResult("gale_robinson", True, None, detail)
 
 
@@ -351,13 +361,11 @@ def check_contiguity(n: int, ell: int, horizon: int) -> CheckResult:
     rhs = hankel_formula_values(n, ell, horizon + n + 2)
     base = n * (n + 2 * ell - 1)  # always even
     detail = f"n={n} ell={ell} horizon={horizon}"
-    for j in range(horizon + 1):
-        sign = -1 if (j + base // 2) % 2 else 1
-        if lhs[j] != sign * rhs[j + n + 1]:
-            return CheckResult(
-                "contiguity", False, (j, sign * rhs[j + n + 1], lhs[j]), detail
-            )
-    return CheckResult("contiguity", True, None, detail)
+    want = rhs[n + 1:horizon + n + 2]
+    # the sign is -1 where j + base/2 is odd
+    odd = 1 - base // 2 % 2
+    want[odd::2] = [-v for v in want[odd::2]]
+    return _compare_lists("contiguity", want, lhs, detail)
 
 
 def check_hfraction_shape(n: int) -> CheckResult:

@@ -19,12 +19,15 @@ from qmetallic import (
     metallic_series,
     metallic_step_cap,
     Model,
+    prime_field,
+    run_suite,
     shift_model,
     shifted_metallic_model,
     shifted_model_chain,
     support_profile,
     truncate_hfraction_stream,
 )
+from qmetallic import hfrac
 
 import goldens
 from helpers import fraction, series, term_tuple
@@ -106,6 +109,37 @@ def test_expansion_of_gold_and_silver_models_matches_literals():
 def test_template_equals_algorithm_for_small_indices():
     for n in (3, 4):
         assert expected_hfraction(n) == hfraction_of_quadratic(metallic_model(n))
+
+
+def test_template_is_built_once_per_ring_and_kept_in_a_bounded_cache():
+    cache = hfrac._metallic_template
+    assert isinstance(cache.cache_info().maxsize, int)
+    cache.cache_clear()
+    assert expected_hfraction(4) is expected_hfraction(4, ZZ)
+    for dom in (ZZ, QQ, prime_field(7), prime_field(11)):
+        hf = expected_hfraction(3, dom)
+        assert hf.dom == dom and expected_hfraction(3, dom) is hf
+    info = cache.cache_info()
+    # each ring is a new key: a shared key would have served the wrong ring
+    assert (info.misses, info.hits) == (5, 5)
+
+
+def test_theorem_d_suite_builds_each_template_once():
+    hfrac._metallic_template.cache_clear()
+    assert all(c.passed for c in run_suite("thmD", range(20, 31)))
+    assert hfrac._metallic_template.cache_info().misses == 11
+
+
+def test_cached_template_is_immutable():
+    hf = expected_hfraction(3)
+    with pytest.raises(AttributeError):
+        hf.cycle = ()
+    with pytest.raises(AttributeError):
+        hf.cycle[0].v = 2
+    with pytest.raises(AttributeError):
+        hf.head.d.coeffs = (1,)
+    assert isinstance(hf.cycle, tuple) and isinstance(hf.cycle[0].d.coeffs, tuple)
+    assert expected_hfraction(3) == hfraction_of_quadratic(metallic_model(3))
 
 
 def test_template_cycle_length():

@@ -1,6 +1,7 @@
 """Dual-route determinant checks, closed-form reconstructions, mod-p runs."""
 
 import math
+import random
 import time
 
 import pytest
@@ -201,6 +202,114 @@ def test_contiguity_small():
             assert check_contiguity(n, ell, 3 * n * (n + 1)).passed
     with pytest.raises(ValueError):
         check_contiguity(2, 3, 10)
+
+
+# Per-index reference loops for the whole-window checkers: each scans its
+# window one index at a time and stops at the first failure.
+
+
+def reference_value_set_and_periodicity(n, ell, periods=2):
+    P = 2 * n * (n + 1)
+    values = verify.hankel_formula_values(n, ell, (periods + 1) * P)
+    detail = f"n={n} ell={ell} periods={periods}"
+    name = "value_set_and_periodicity"
+    for j, v in enumerate(values):
+        if v not in (-1, 0, 1):
+            return CheckResult(name, False, (j, "value in {-1,0,1}", v), detail)
+    sign = -1 if n % 2 else 1
+    for j in range(periods * P):
+        if values[j + P] != sign * values[j]:
+            return CheckResult(
+                name, False, (j, sign * values[j], values[j + P]),
+                detail + f" (index {j}+{P})",
+            )
+    return CheckResult(name, True, None, detail)
+
+
+def reference_gale_robinson(n, ell, horizon):
+    values = verify.hankel_formula_values(n, ell, horizon + 2 * n + 2)
+    detail = f"n={n} ell={ell} horizon={horizon}"
+    for j in range(horizon):
+        gamma = (
+            values[j] * values[j + 2 * n + 2]
+            - values[j + 1] * values[j + 2 * n + 1]
+            + values[j + n + 1] ** 2
+        )
+        if gamma:
+            return CheckResult("gale_robinson", False, (j, 0, gamma), detail)
+    return CheckResult("gale_robinson", True, None, detail)
+
+
+def reference_contiguity(n, ell, horizon):
+    lhs = verify.hankel_formula_values(n, ell + 1, horizon + 1)
+    rhs = verify.hankel_formula_values(n, ell, horizon + n + 2)
+    base = n * (n + 2 * ell - 1)
+    detail = f"n={n} ell={ell} horizon={horizon}"
+    for j in range(horizon + 1):
+        sign = -1 if (j + base // 2) % 2 else 1
+        if lhs[j] != sign * rhs[j + n + 1]:
+            return CheckResult(
+                "contiguity", False, (j, sign * rhs[j + n + 1], lhs[j]), detail
+            )
+    return CheckResult("contiguity", True, None, detail)
+
+
+def corrupt_formula_values(monkeypatch, trial, corrupted_ells):
+    """Patch verify.hankel_formula_values so that the windows of the shifts
+    in corrupted_ells get 1-3 entries overwritten. The corruption depends
+    only on (trial, ell, count), so the fast checker and its reference
+    read the same windows."""
+    true_values = hankel_formula_values
+
+    def fake(n, ell, count):
+        values = true_values(n, ell, count)
+        if ell in corrupted_ells:
+            rng = random.Random(f"{trial}:{ell}:{count}")
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(count)
+                values[pos] = rng.choice([-values[pos], -2, -1, 0, 1, 2, 3])
+        return values
+
+    monkeypatch.setattr(verify, "hankel_formula_values", fake)
+
+
+def as_tuple(result):
+    return (result.name, result.passed, result.counterexample, result.detail)
+
+
+def test_whole_window_checkers_match_the_per_index_loops(monkeypatch):
+    rng = random.Random(20261018)
+    failed = {"thmB": 0, "thmC": 0, "lhs": 0, "rhs": 0, "both": 0, "range": 0}
+    for trial in range(60):
+        for n in range(1, 6):  # odd and even n; n = 1, 3 give both parities of base/2
+            for ell in range(n + 2):
+                corrupted = {ell} if rng.random() < 0.8 else set()
+                corrupt_formula_values(monkeypatch, trial, corrupted)
+                periods = rng.choice([1, 2, 3])
+                fast = check_value_set_and_periodicity(n, ell, periods)
+                assert as_tuple(fast) == as_tuple(
+                    reference_value_set_and_periodicity(n, ell, periods)
+                )
+                failed["thmB"] += not fast.passed
+                failed["range"] += fast.counterexample is not None and isinstance(
+                    fast.counterexample[1], str
+                )
+                horizon = 2 * n * (n + 1)
+                fast = gale_robinson_check(n, ell, horizon)
+                assert as_tuple(fast) == as_tuple(reference_gale_robinson(n, ell, horizon))
+                failed["thmC"] += not fast.passed
+            for ell in range(n + 1):
+                side = rng.choice(["none", "lhs", "rhs", "both"])
+                corrupted = {"none": set(), "lhs": {ell + 1}, "rhs": {ell},
+                             "both": {ell, ell + 1}}[side]
+                corrupt_formula_values(monkeypatch, trial, corrupted)
+                horizon = 4 * n * (n + 1)
+                fast = check_contiguity(n, ell, horizon)
+                assert as_tuple(fast) == as_tuple(reference_contiguity(n, ell, horizon))
+                if side != "none":
+                    failed[side] += not fast.passed
+    # every kind of failure was reached, not only passing windows
+    assert min(failed.values()) >= 20, failed
 
 
 def test_discovered_fraction_matches_template():
