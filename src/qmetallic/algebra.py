@@ -13,7 +13,7 @@ output coefficient back into range(p) once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from operator import attrgetter
 
 
 class ExactDivisionError(ArithmeticError):
@@ -22,6 +22,96 @@ class ExactDivisionError(ArithmeticError):
 
 class PrecisionError(ValueError):
     """A series was asked for data beyond its stated precision."""
+
+
+# ---------------------------------------------------------------------------
+# Frozen records
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields as class annotations, in order, with
+    optional defaults as class attributes, and gets what a frozen
+    dataclass gives: construction by position or keyword, equality
+    between instances of the same class, a hash of the field values, the
+    repr Name(field=value!r, ...), AttributeError on assignment and
+    deletion, and a `__post_init__` hook. Nothing is generated as source,
+    so defining a record costs no more at import than a plain class.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        if len(fields) < 2:
+            # attrgetter returns a bare value, not a tuple, for one field
+            raise TypeError(f"record {cls.__name__} needs two or more fields")
+        cls._fields = fields
+        cls._field_set = frozenset(fields)
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        # the tuple of field values, called as self._astuple(self): an
+        # attrgetter is not a method and does not bind
+        cls._astuple = attrgetter(*fields)
+
+    # a subclass that defines this method has it called after __init__
+    __post_init__ = None
+
+    def __init__(self, *args, **kwargs):
+        # the two fast paths are every field by position, or every field
+        # by keyword; anything else binds one field at a time
+        d = self.__dict__
+        if not kwargs and len(args) == len(self._fields):
+            for f, a in zip(self._fields, args):
+                d[f] = a
+        elif not args and kwargs.keys() == self._field_set:
+            d.update(kwargs)
+        else:
+            d.update(self._bind(args, kwargs))
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> dict:
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values[f] = kwargs.pop(f)
+            elif f in cls._defaults:
+                values[f] = cls._defaults[f]
+            else:
+                raise TypeError(f"{name}() missing required argument {f!r}")
+        if kwargs:
+            raise TypeError(
+                f"{name}() got an unexpected or repeated keyword argument "
+                f"{next(iter(kwargs))!r}"
+            )
+        return values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        inner = ", ".join(
+            [f"{f}={v!r}" for f, v in zip(self._fields, self._astuple(self))]
+        )
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +296,9 @@ ZZ = IntegerDomain()
 QQ = RationalDomain()
 
 
-@lru_cache(maxsize=None)
 def prime_field(p: int) -> PrimeFieldDomain:
+    # no cache: fields compare and hash by p, so two instances of one
+    # GF(p) already share every cache keyed by the domain
     return PrimeFieldDomain(p)
 
 

@@ -16,10 +16,9 @@ no convergence test is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Domain, LaurentPair, Poly, PrecisionError, Series
+from .algebra import Domain, LaurentPair, Poly, PrecisionError, Record, Series
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +54,7 @@ def _scalar_json(x):
     return str(x)
 
 
-@dataclass(frozen=True)
-class HFTerm:
+class HFTerm(Record):
     """One level of a Hankel continued fraction.
 
     k is the gap exponent, v the unit numerator coefficient, d the
@@ -96,8 +94,7 @@ class HFTerm:
         }
 
 
-@dataclass(frozen=True)
-class PeriodicHFraction:
+class PeriodicHFraction(Record):
     """An ultimately periodic (or finite) Hankel continued fraction.
 
     Term stream: head, then preamble terms, then the cycle repeating
@@ -259,8 +256,7 @@ def greedy_hfraction(f: Series, max_terms: int) -> PeriodicHFraction:
 # Regular continued fractions in 1/q
 
 
-@dataclass(frozen=True)
-class RegularCF:
+class RegularCF(Record):
     """f = 1/(a_1 + 1/(a_2 + ...)) with each a_j a polynomial in 1/q of
     positive degree (a LaurentPair supported on exponents -m_j .. 0).
 

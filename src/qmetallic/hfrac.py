@@ -18,7 +18,6 @@ integer model whose step meets a non-unit is expanded again over QQ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
@@ -26,6 +25,7 @@ from .algebra import (
     ExactDivisionError,
     Poly,
     QQ,
+    Record,
     Series,
     ZZ,
 )
@@ -33,8 +33,7 @@ from .cfrac import HFTerm, PeriodicHFraction
 from .qseries import Model, angle_bracket, metallic_model, metallic_series, q_integer
 
 
-@dataclass(frozen=True)
-class AlgStepResult:
+class AlgStepResult(Record):
     """One expansion step: emitted term data plus the follow-up model.
 
     next_model is None exactly when the tail series is zero, i.e. the
@@ -379,8 +378,7 @@ def hfraction_of_shift(n: int, ell: int, dom: Domain = ZZ) -> PeriodicHFraction:
     return truncate_hfraction_stream(expected_hfraction(n, dom), drop)
 
 
-@dataclass(frozen=True)
-class SupportProfile:
+class SupportProfile(Record):
     """Index bookkeeping of a Hankel fraction.
 
     s_p = p + sum_{i<p} k_i enumerates the indices of nonzero Hankel
@@ -448,26 +446,31 @@ def hankel_values_from_hfraction(H: PeriodicHFraction, count: int) -> list:
     s = 0
     delta = dom.from_int(1)
     running = dom.from_int(1)
-    p = 0
+    # (v, k) of each stored term, read once: the walk goes through the
+    # head and preamble, then around the cycle for as long as it needs
+    terms = [(dom.coerce(t.v), t.k) for t in (H.head, *H.preamble)]
+    cycle = [(dom.coerce(t.v), t.k) for t in H.cycle]
+    i = 0
     while s < count - 1:
-        try:
-            t = H.term(p)
-        except IndexError:
-            if H.terminated:
-                break  # rational series: all later determinants are zero
-            raise ValueError(
-                f"fraction prefix certifies determinants only up to index {s}, "
-                f"index {count - 1} requested"
-            ) from None
-        running = dom.reduce(running * dom.coerce(t.v))
-        step = running ** (t.k + 1)
-        if t.k * (t.k + 1) // 2 % 2:
+        if i == len(terms):
+            if not cycle:
+                if H.terminated:
+                    break  # rational series: all later determinants are zero
+                raise ValueError(
+                    f"fraction prefix certifies determinants only up to index {s}, "
+                    f"index {count - 1} requested"
+                )
+            terms, i = cycle, 0
+        v, k = terms[i]
+        i += 1
+        running = dom.reduce(running * v)
+        step = running ** (k + 1)
+        if k * (k + 1) // 2 % 2:
             step = -step
         delta = dom.reduce(delta * step)
-        s += 1 + t.k
+        s += 1 + k
         if s < count:
             out[s] = delta
-        p += 1
     return out
 
 

@@ -10,11 +10,10 @@ polynomial coefficients; `metallic_model` builds that equation and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import Domain, ZZ, LaurentPair, Poly, Series
+from .algebra import Domain, ZZ, LaurentPair, Poly, Record, Series
 
 
 def q_integer(n: int, dom: Domain = ZZ):
@@ -54,8 +53,7 @@ def angle_bracket(n: int, dom: Domain = ZZ) -> Poly:
     return q * q_integer(n, dom) + (one + Poly.monomial(dom, n)) * (one - q)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A quadratic equation A + B*F + C*F^2 = 0 for a power series F.
 
     The expansion algorithms require A != 0, B(0) = 1, C != 0, C(0) = 0;

@@ -17,10 +17,9 @@ the first counterexample, so a failing run is directly diagnosable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     PrecisionError,
+    Record,
     Series,
     ZZ,
     det_fraction_free,
@@ -53,8 +52,7 @@ def _jsonable(v):
     return str(v)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one named property check.
 
     counterexample, when present, is (j, expected, got) at the first
@@ -80,8 +78,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class HankelReport:
+class HankelReport(Record):
     """A window of Hankel determinant values with provenance.
 
     values[j] is the j-th determinant of the ell-fold coefficient shift;
@@ -117,8 +114,7 @@ class HankelReport:
         ]
 
 
-@dataclass(frozen=True)
-class ModpReport:
+class ModpReport(Record):
     """Cycle data of a prime-field fraction run and its determinant
     stream. preperiod/period fields are None when the run was
     inconclusive (no cycle within max_steps); inconclusive is not a
@@ -158,8 +154,7 @@ class ModpReport:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Exploratory observation window for shifts beyond the proved
     range. Never a theorem claim; the label says so in every payload."""
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -296,6 +297,23 @@ def test_console_script_runs():
     )
     assert r.returncode == 0 and "1 + q^2" in r.stdout
 
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time in every CLI process; -S keeps site
+    # packages from loading them first
+    code = (
+        "import sys, qmetallic.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 def test_missing_required_argument_exits_2():
     r = subprocess.run(

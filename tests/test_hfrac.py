@@ -19,6 +19,7 @@ from qmetallic import (
     metallic_series,
     metallic_step_cap,
     Model,
+    PeriodicHFraction,
     prime_field,
     run_suite,
     shift_model,
@@ -123,6 +124,18 @@ def test_template_is_built_once_per_ring_and_kept_in_a_bounded_cache():
     # each ring is a new key: a shared key would have served the wrong ring
     assert (info.misses, info.hits) == (5, 5)
 
+
+
+def test_prime_fields_built_apart_share_one_template_entry():
+    # prime_field keeps no cache of its own: GF(7) built twice is two
+    # equal objects, and the template cache serves both from one entry
+    cache = hfrac._metallic_template
+    cache.cache_clear()
+    a, b = prime_field(7), prime_field(7)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert expected_hfraction(3, a) is expected_hfraction(3, b)
+    info = cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 def test_theorem_d_suite_builds_each_template_once():
     hfrac._metallic_template.cache_clear()
@@ -392,3 +405,82 @@ def test_determinants_from_bare_prefix_fail_past_certificate():
     assert not prefix.terminated and not prefix.cycle
     with pytest.raises(ValueError):
         hankel_values_from_hfraction(prefix, 40)
+
+
+def reference_hankel_values(H, count):
+    """The per-term loop that `hankel_values_from_hfraction` replaced: one
+    `term(p)` and one `coerce` for every term it visits."""
+    dom = H.dom
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    out = [dom.from_int(0)] * count
+    if count == 0:
+        return out
+    out[0] = dom.from_int(1)
+    s, delta, running, p = 0, dom.from_int(1), dom.from_int(1), 0
+    while s < count - 1:
+        try:
+            t = H.term(p)
+        except IndexError:
+            if H.terminated:
+                break
+            raise ValueError(
+                f"fraction prefix certifies determinants only up to index {s}, "
+                f"index {count - 1} requested"
+            ) from None
+        running = dom.reduce(running * dom.coerce(t.v))
+        step = running ** (t.k + 1)
+        if t.k * (t.k + 1) // 2 % 2:
+            step = -step
+        delta = dom.reduce(delta * step)
+        s += 1 + t.k
+        if s < count:
+            out[s] = delta
+        p += 1
+    return out
+
+
+def _outcome(fn, H, count):
+    try:
+        return fn(H, count)
+    except ValueError as e:
+        return str(e)
+
+
+def test_determinants_from_stored_terms_match_the_per_term_loop():
+    q = Poly(QQ, [0, 1])
+    fractions = [
+        # a QQ fraction whose v are not units, with a 5-cycle
+        hfraction_of_quadratic(Model(Poly(QQ, [2, 1]), Poly(QQ, [1, 1]), q)),
+        # rational series: terminated, with and without a preamble
+        greedy_hfraction(series([1] * 20, prec=20), max_terms=8),
+        greedy_hfraction(series([1, 2, 1, 0, 0, 0, 0, 0, 0, 0], dom=QQ), max_terms=8),
+        greedy_hfraction(series([1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89], dom=QQ), max_terms=8),
+        # a preamble before the cycle, whose first term differs from the
+        # cycle's last, so the walk must switch from one to the other
+        PeriodicHFraction(
+            head=expected_hfraction(2).head,
+            preamble=expected_hfraction(3).cycle[:4],
+            cycle=expected_hfraction(2).cycle,
+        ),
+        # bare prefixes: neither a cycle nor terminated
+        greedy_hfraction(metallic_series(1, 12), max_terms=4),
+        greedy_hfraction(metallic_series(3, 30), max_terms=9),
+    ]
+    for n in range(1, 5):
+        for dom in (ZZ, QQ, prime_field(7), prime_field(10000000000037)):
+            fractions.append(expected_hfraction(n, dom))
+            fractions += [hfraction_of_shift(n, ell, dom) for ell in range(1, n + 2)]
+        for p in (2, 3, 5):
+            for ell in range(0, n + 4):
+                model = shifted_model_chain(n, ell).map_domain(prime_field(p))
+                if not model.a.is_zero():
+                    fractions.append(hfraction_of_quadratic(model.validate(), 4000))
+    assert any(H.preamble and H.cycle for H in fractions)
+    assert any(H.terminated and H.preamble for H in fractions)
+    assert sum(not H.cycle and not H.terminated for H in fractions) == 2
+    for H in fractions:
+        span = sum(1 + t.k for t in H.stream(H.n_stored_terms()))
+        for count in range(0, 2 * span + 3):
+            want = _outcome(reference_hankel_values, H, count)
+            assert _outcome(hankel_values_from_hfraction, H, count) == want, (H, count)
