@@ -836,6 +836,12 @@ def leading_minors(rows) -> list:
     the sign of the pivot-column permutation. A row without a pivot
     depends on the rows above it, so every larger minor vanishes. Every
     division is exact (Sylvester's identity), so the entries stay in ZZ.
+    When the divisor prev and the pivot piv are both units, as almost all
+    pivots of the metallic windows are, the update
+    (x*piv - f*y) / prev = s*(x - h*y), s = piv*prev = +-1, h = f*piv,
+    needs no division. Its entries are computed as negated differences:
+    a difference is allocated at the size of the product h*y, a negation
+    at the size of its value. A row with s = 1 and f = 0 is unchanged.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -856,10 +862,20 @@ def leading_minors(rows) -> list:
         # later row. When d_k != 0 that row is above row k, so the sum over
         # rows < k counts the inversions of their pivot columns.
         inversions += pos
+        units = prev in (1, -1) and piv in (1, -1)
+        s = piv * prev
         for r in range(i + 1, n):
             mr = m[r]
             f = mr.pop(pos)
-            m[r] = [(x * piv - f * y) // prev for x, y in zip(mr, row)]
+            if not units:
+                m[r] = [(x * piv - f * y) // prev for x, y in zip(mr, row)]
+            elif s == 1:
+                if f:
+                    h = f * piv
+                    m[r] = [-(h * y - x) for x, y in zip(mr, row)]
+            else:
+                h = f * piv
+                m[r] = [-(x - h * y) for x, y in zip(mr, row)]
         prev = piv
         if live and live[0] <= i:
             minors.append(0)

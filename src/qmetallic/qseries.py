@@ -118,6 +118,8 @@ def series_of_model(model: Model, prec: int) -> Series:
 
     Coefficient recursion: with G = F^2, the q^m coefficient of
     A + B*F + C*G determines f_m because B(0) is a unit and C(0) = 0.
+    Only the nonzero coefficients of B and C past the constant term are
+    visited, and g_m is summed over half its products by symmetry.
     Exact in the model's domain; O(prec^2) coefficient operations.
     """
     model.validate()
@@ -126,24 +128,28 @@ def series_of_model(model: Model, prec: int) -> Series:
         return Series.zero(dom, max(prec, 0))
     zero = dom.from_int(0)
     a = list(model.a.coeffs) + [zero] * max(0, prec - len(model.a.coeffs))
-    b = list(model.b.coeffs) + [zero] * max(0, prec - len(model.b.coeffs))
-    c = list(model.c.coeffs) + [zero] * max(0, prec - len(model.c.coeffs))
-    b0_inv = dom.inv(b[0])
+    b_terms = [(i, bi) for i, bi in enumerate(model.b.coeffs) if i and bi]
+    c_terms = [(i, ci) for i, ci in enumerate(model.c.coeffs) if ci]
+    b0_inv = dom.inv(model.b.coeffs[0])
 
     f = []
     g = []  # running coefficients of F^2
     for m in range(prec):
         acc = a[m]
-        for i in range(1, m + 1):
-            bi = b[i]
-            if bi:
-                acc += bi * f[m - i]
-            ci = c[i]
-            if ci:
-                acc += ci * g[m - i]
+        for i, bi in b_terms:
+            if i > m:
+                break
+            acc += bi * f[m - i]
+        for i, ci in c_terms:
+            if i > m:
+                break
+            acc += ci * g[m - i]
         f.append(dom.reduce(-acc * b0_inv))
         # update G at index m now that f_m is known
-        g.append(dom.reduce(sum(f[i] * f[m - i] for i in range(m + 1))))
+        gm = 2 * sum(f[i] * f[m - i] for i in range((m + 1) // 2))
+        if m % 2 == 0:
+            gm += f[m // 2] * f[m // 2]
+        g.append(dom.reduce(gm))
     return Series(dom, tuple(f), prec, normalized=True)
 
 

@@ -354,6 +354,13 @@ def check_contiguity(n: int, ell: int, horizon: int) -> CheckResult:
         raise ValueError(f"contiguity links shifts ell..ell+1 for ell in 0..{n}")
     lhs = hankel_formula_values(n, ell + 1, horizon + 1)
     rhs = hankel_formula_values(n, ell, horizon + n + 2)
+    return _contiguity(n, ell, horizon, lhs, rhs)
+
+
+def _contiguity(n: int, ell: int, horizon: int, lhs: list, rhs: list) -> CheckResult:
+    """check_contiguity on given windows: lhs holds at least horizon+1
+    values of shift ell+1, rhs at least horizon+n+2 values of shift ell."""
+    lhs = lhs[:horizon + 1]
     base = n * (n + 2 * ell - 1)  # always even
     detail = f"n={n} ell={ell} horizon={horizon}"
     want = rhs[n + 1:horizon + n + 2]
@@ -912,8 +919,13 @@ def run_suite(suite: str, n_values) -> list:
                 out.append(gale_robinson_check(n, ell, 2 * n * (n + 1)))
     if suite in ("thmD", "all"):
         for n in n_values:
+            # one window per shift, read as lhs for ell-1 and as rhs for ell
+            horizon = 4 * n * (n + 1)
+            rhs = hankel_formula_values(n, 0, horizon + n + 2)
             for ell in range(n + 1):
-                out.append(check_contiguity(n, ell, 4 * n * (n + 1)))
+                lhs = hankel_formula_values(n, ell + 1, horizon + n + 2)
+                out.append(_contiguity(n, ell, horizon, lhs, rhs))
+                rhs = lhs
     if suite in ("thm51", "all"):
         for n in n_values:
             if n < 3:

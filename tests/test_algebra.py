@@ -6,7 +6,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qmetallic
 from qmetallic import (
@@ -19,6 +19,7 @@ from qmetallic import (
     QQ,
     det_fraction_free,
     leading_minors,
+    metallic_series,
     prime_field,
     series_lowest_term,
 )
@@ -261,12 +262,26 @@ def test_determinant_matches_cofactor_expansion_random_dims_3_and_4():
 def integer_matrices(draw):
     """Square integer matrices of sizes 0-9 whose leading minors vanish
     often: sparse, Hankel-structured, or with one leading block forced
-    singular (its last row a multiple of its first)."""
+    singular (its last row a multiple of its first). The "triangular"
+    kind, L*U with L unit lower triangular and U upper triangular, has
+    pivots +-1 (both signs of piv*prev), a first non-unit pivot after
+    unit ones, non-unit divisors after it, and zero multipliers where L
+    has zeros."""
     n = draw(st.integers(0, 9))
-    kind = draw(st.sampled_from(("sparse", "hankel", "zero_minor")))
+    kind = draw(st.sampled_from(("sparse", "hankel", "zero_minor", "triangular")))
     if kind == "hankel":
         f = draw(st.lists(st.sampled_from((-1, 0, 0, 1, 2)), min_size=2 * n, max_size=2 * n))
         return [[f[a + b] for b in range(n)] for a in range(n)]
+    if kind == "triangular":
+        low = st.sampled_from((0, 0, 1, -1, 2))
+        lower = [draw(st.lists(low, min_size=a, max_size=a)) + [1] + [0] * (n - a - 1)
+                 for a in range(n)]
+        diag = draw(st.lists(st.sampled_from((1, -1, 1, -1, 2, -2, 3)), min_size=n, max_size=n))
+        upper = [[0] * a + [diag[a]] + draw(st.lists(st.integers(-3, 3), min_size=n - a - 1,
+                                                     max_size=n - a - 1))
+                 for a in range(n)]
+        return [[sum(lower[a][k] * upper[k][b] for k in range(n)) for b in range(n)]
+                for a in range(n)]
     entries = st.sampled_from((0, 0, 0, 1, -1, 2)) if kind == "sparse" else st.integers(-3, 3)
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
     if kind == "zero_minor" and n:
@@ -276,8 +291,26 @@ def integer_matrices(draw):
     return rows
 
 
+# One matrix per elimination case, each named by the divisor prev and the
+# pivot piv of a step, with s = piv*prev and f the entry of a later row in
+# the pivot column:
+# - s = 1 at every step, and every f is nonzero;
+# - the second pivot is -1 after the divisor 1: s = -1;
+# - the second pivot is 2 after the divisor 1 (a non-unit pivot);
+# - the second step divides by the first pivot, 2 (a non-unit divisor);
+# - s = 1 at every step, and every f is 0: no row changes;
+# - s = -1 at the first step with f = 0 in row 1, which is negated; then
+#   prev = -1;
+# - d_2 = 0: the second row is twice the first on the leading block.
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
+@example([[1, 1, 1], [1, 2, 3], [1, 3, 6]])
+@example([[1, 2, 1], [2, 3, 4], [1, 4, 2]])
+@example([[1, 1, 0], [1, 3, 1], [0, 1, 1]])
+@example([[2, 1, 1], [2, 3, 2], [4, 4, 7]])
+@example([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+@example([[-1, 2, 3], [0, 1, 4], [1, 2, 2]])
+@example([[1, 2, 5], [2, 4, 1], [3, 1, 1]])
 def test_leading_minors_match_row_pivoting_bareiss_at_every_size(rows):
     minors = leading_minors(rows)
     assert len(minors) == len(rows) + 1
@@ -286,6 +319,46 @@ def test_leading_minors_match_row_pivoting_bareiss_at_every_size(rows):
         assert minor == det_fraction_free(prefix, QQ)
         if k <= 5:
             assert minor == cofactor_det(prefix)
+
+
+def reference_leading_minors(rows) -> list:
+    """The elimination of leading_minors with every update divided
+    exactly by the previous pivot: the reference for its unit-pivot
+    branch."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    live = list(range(n))
+    minors = [1]
+    prev = 1
+    inversions = 0
+    for i in range(n):
+        row = m[i]
+        pos = next((p for p, x in enumerate(row) if x), None)
+        if pos is None:
+            break
+        piv = row[pos]
+        del live[pos], row[pos]
+        inversions += pos
+        for r in range(i + 1, n):
+            mr = m[r]
+            f = mr.pop(pos)
+            m[r] = [(x * piv - f * y) // prev for x, y in zip(mr, row)]
+        prev = piv
+        if live and live[0] <= i:
+            minors.append(0)
+        else:
+            minors.append(-piv if inversions & 1 else piv)
+    return minors + [0] * (n + 1 - len(minors))
+
+
+def test_leading_minors_match_the_dividing_kernel_on_every_oracle_window():
+    # the windows that hankel, scan and thm51 hand to the oracle
+    for n in range(1, 6):
+        count = 4 * n * (n + 1)
+        for ell in range(n + 4):
+            f = metallic_series(n, ell + 2 * count).coeffs
+            rows = [f[ell + a:ell + a + count - 1] for a in range(count - 1)]
+            assert leading_minors(rows) == reference_leading_minors(rows), (n, ell)
 
 
 def test_leading_minors_rejects_non_square_input():

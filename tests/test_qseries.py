@@ -1,12 +1,15 @@
 """Deformed integers and rationals, metallic models, baseline series."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qmetallic import (
     LaurentPair,
+    Model,
     Poly,
+    Series,
     ZZ,
     QQ,
     angle_bracket,
@@ -17,7 +20,9 @@ from qmetallic import (
     q_integer,
     q_integer_inv,
     q_rational,
+    prime_field,
     series_of_model,
+    shifted_metallic_model,
 )
 
 import goldens
@@ -121,6 +126,63 @@ def test_series_taylor_prefixes():
     assert list(metallic_series(1, 16).coeffs) == goldens.TAYLOR[1]
     assert list(metallic_series(5, 20).coeffs) == goldens.TAYLOR[5][:20]
     assert list(metallic_series(10, 24).coeffs) == goldens.TAYLOR[10][:24]
+
+
+def reference_series_of_model(model, prec):
+    """The dense recursion: every index of B and C, and the full sum of
+    F^2 coefficients."""
+    dom = model.dom
+    if prec <= 0:
+        return Series.zero(dom, max(prec, 0))
+    zero = dom.from_int(0)
+    a, b, c = (list(p.coeffs) + [zero] * prec for p in (model.a, model.b, model.c))
+    b0_inv = dom.inv(b[0])
+    f, g = [], []
+    for m in range(prec):
+        acc = a[m]
+        for i in range(1, m + 1):
+            acc += b[i] * f[m - i] + c[i] * g[m - i]
+        f.append(dom.reduce(-acc * b0_inv))
+        g.append(dom.reduce(sum(f[i] * f[m - i] for i in range(m + 1))))
+    return Series(dom, tuple(f), prec, normalized=True)
+
+
+def random_model(rng, dom):
+    """A valid model whose C has several nonzero terms; over QQ some
+    coefficients are proper fractions."""
+    def coeff():
+        c = rng.randint(-3, 3)
+        if dom is QQ and rng.random() < 0.3:
+            c = Fraction(c, rng.randint(1, 4))
+        return dom.coerce(c)
+
+    a = [coeff() for _ in range(rng.randint(1, 5))]
+    a[0] = dom.coerce(rng.choice([-2, -1, 1, 3]))  # A != 0
+    b = [dom.from_int(1)] + [coeff() for _ in range(rng.randint(0, 6))]
+    c = [dom.from_int(0)] + [coeff() for _ in range(rng.randint(2, 7))]
+    for i in rng.sample(range(1, len(c)), 2):
+        c[i] = dom.coerce(rng.choice([-2, -1, 1, 2]))
+    return Model(Poly(dom, a), Poly(dom, b), Poly(dom, c)).validate()
+
+
+def test_sparse_recursion_matches_the_dense_one():
+    domains = (ZZ, QQ, prime_field(7), prime_field(10000000000037))
+    for dom in domains:
+        # over QQ, n = 4 (prec 160) alone would take about 1.5 s
+        for n in range(1, 4 if dom is QQ else 5):
+            models = [metallic_model(n, dom)]
+            models += [shifted_metallic_model(n, ell, dom) for ell in range(n + 2)]
+            for model in models:
+                for prec in (0, 1, 2, 8 * n * (n + 1)):
+                    assert series_of_model(model, prec) == reference_series_of_model(
+                        model, prec
+                    ), (dom, n, prec, model)
+    rng = random.Random(20261018)
+    for trial in range(60):
+        dom = domains[trial % len(domains)]
+        model = random_model(rng, dom)
+        for prec in (0, 1, 2, rng.randint(3, 40)):
+            assert series_of_model(model, prec) == reference_series_of_model(model, prec)
 
 
 def test_metallic_model_rejects_nonpositive_index():

@@ -312,6 +312,41 @@ def test_whole_window_checkers_match_the_per_index_loops(monkeypatch):
     assert min(failed.values()) >= 20, failed
 
 
+def test_thmD_suite_reads_each_window_once_and_matches_check_contiguity(monkeypatch):
+    # the suite slices one long window per shift, so the corruption here
+    # depends on (trial, ell) only and every shorter window is a prefix
+    true_values = hankel_formula_values
+    calls = []
+
+    def fake(n, ell, count):
+        calls.append((n, ell))
+        values = true_values(n, ell, count)
+        if ell in corrupted:
+            rng = random.Random(f"{trial}:{ell}")
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(4 * n * (n + 1) + n + 2)
+                value = rng.choice([None, -2, -1, 0, 1, 2, 3])
+                if pos < count:
+                    values[pos] = -values[pos] if value is None else value
+        return values
+
+    monkeypatch.setattr(verify, "hankel_formula_values", fake)
+    rng = random.Random(7)
+    failures = 0
+    for trial in range(40):
+        n = 1 + trial % 5
+        corrupted = {ell for ell in range(n + 2) if rng.random() < 0.3}
+        calls.clear()
+        suite = run_suite("thmD", [n])
+        assert sorted(calls) == [(n, ell) for ell in range(n + 2)]
+        horizon = 4 * n * (n + 1)
+        assert [as_tuple(r) for r in suite] == [
+            as_tuple(check_contiguity(n, ell, horizon)) for ell in range(n + 1)
+        ]
+        failures += sum(not r.passed for r in suite)
+    assert failures >= 20
+
+
 def test_discovered_fraction_matches_template():
     assert check_hfraction_shape(4).passed
 
