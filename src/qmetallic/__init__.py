@@ -13,10 +13,8 @@ from .algebra import (
     prime_field,
     Poly,
     Series,
-    LaurentPair,
     det_fraction_free,
     leading_minors,
-    series_lowest_term,
     ExactDivisionError,
     PrecisionError,
 )
@@ -43,7 +41,6 @@ from .hfrac import (
     SupportProfile,
     support_profile,
     hankel_values_from_hfraction,
-    hankel_from_hfraction,
 )
 from .verify import (
     CheckResult,
@@ -77,7 +74,6 @@ from .verify import (
 )
 from .qseries import (
     q_integer,
-    q_integer_inv,
     angle_bracket,
     Model,
     metallic_model,
@@ -88,7 +84,5 @@ from .qseries import (
     catalan_series,
     motzkin_series,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

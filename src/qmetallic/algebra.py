@@ -1,8 +1,8 @@
 """Exact coefficient arithmetic.
 
 Domains (integers, rationals, prime fields), dense univariate polynomials,
-truncated power series, Laurent pairs, and fraction-free determinants.
-Everything here is exact; no floating point anywhere.
+truncated power series and fraction-free determinants. Everything here is
+exact; no floating point anywhere.
 
 Coefficients are plain Python values combined with plain operators
 (`+ - * **`, truthiness for zero tests). ZZ and QQ need nothing more;
@@ -428,18 +428,6 @@ class Poly:
                     out[j] += ca * cb
         return Poly._reduced(dom, out)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one(self.dom)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def scale(self, c) -> "Poly":
         c = self.dom.coerce(c)
         return Poly._reduced(self.dom, [x * c for x in self.coeffs])
@@ -716,88 +704,6 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.dom}, {list(self.coeffs)!r}, prec={self.prec})"
-
-
-def series_lowest_term(f: Series):
-    """(valuation, coefficient) of the lowest nonzero term.
-
-    Raises ValueError when the series vanishes to its stated precision;
-    callers that expect possible exact zeros must catch it.
-    """
-    v = f.valuation()
-    if v is None:
-        raise ValueError(f"series is zero to its precision O(q^{f.prec})")
-    return v, f.coeffs[v]
-
-
-# ---------------------------------------------------------------------------
-# Laurent pairs
-
-
-class LaurentPair:
-    """A Laurent polynomial with finite negative tail: poly(q) * q^(-shift).
-
-    Normalized so that shift == 0 or poly has a nonzero constant term.
-    Plain data with no arithmetic: it holds the q-deformation of negative
-    integers and the partial quotients, polynomial in 1/q, of regular
-    continued fractions.
-    """
-
-    __slots__ = ("poly", "shift")
-
-    def __init__(self, poly: Poly, shift: int = 0):
-        if shift < 0:
-            poly, shift = poly.shift(-shift), 0
-        if poly.is_zero():
-            shift = 0
-        elif shift:
-            v = poly.valuation()
-            drop = min(v, shift)
-            if drop:
-                poly, shift = poly.exact_div_monomial(drop), shift - drop
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "shift", shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPair is immutable")
-
-    @property
-    def dom(self) -> Domain:
-        return self.poly.dom
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def min_exponent(self) -> int:
-        if self.poly.is_zero():
-            raise ValueError("zero has no exponent range")
-        return self.poly.valuation() - self.shift
-
-    def max_exponent(self) -> int:
-        if self.poly.is_zero():
-            raise ValueError("zero has no exponent range")
-        return len(self.poly.coeffs) - 1 - self.shift
-
-    def coefficient(self, e: int):
-        return self.poly.coefficient(e + self.shift)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPair)
-            and self.poly == other.poly
-            and self.shift == other.shift
-        )
-
-    def __hash__(self):
-        return hash((self.poly, self.shift))
-
-    def __str__(self):
-        if self.poly.is_zero():
-            return "0"
-        return format_terms((i - self.shift, c) for i, c in enumerate(self.poly.coeffs))
-
-    def __repr__(self):
-        return f"LaurentPair({self.poly!r}, shift={self.shift})"
 
 
 # ---------------------------------------------------------------------------

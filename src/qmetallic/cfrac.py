@@ -6,7 +6,8 @@ Two families live here:
   v_j q^(...)/D_j with deg(D_j) <= k_j + 1 and D_j(0) = 1, expanded
   greedily from a series and stored with explicit preperiod/cycle;
 * regular continued fractions with partial quotients polynomial in 1/q,
-  and the exact dictionary translating them to and from Hankel fractions.
+  each stored as a pair (P, m) meaning P(q) q^(-m), and the exact
+  dictionary translating them to and from Hankel fractions.
 
 Both evaluate to a power series mod q^prec by one bottom-up pass over
 truncated series. Every level multiplies its tail by a positive power of
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Domain, LaurentPair, Poly, PrecisionError, Record, Series
+from .algebra import Domain, Poly, PrecisionError, Record, Series
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,8 @@ def greedy_hfraction(f: Series, max_terms: int) -> PeriodicHFraction:
 
 class RegularCF(Record):
     """f = 1/(a_1 + 1/(a_2 + ...)) with each a_j a polynomial in 1/q of
-    positive degree (a LaurentPair supported on exponents -m_j .. 0).
+    positive degree, stored as the pair (P_j, m_j) with a_j = P_j(q) q^(-m_j),
+    P_j(0) != 0 and deg P_j <= m_j, so a_j spans the exponents -m_j .. 0.
 
     complete=True means the expansion closed (the residual vanished
     exactly, i.e. f is rational as far as the input precision shows).
@@ -269,22 +271,19 @@ class RegularCF(Record):
 
     @property
     def dom(self) -> Domain:
-        return self.quotients[0].dom
+        return self.quotients[0][0].dom
 
     def validate(self) -> "RegularCF":
         if not self.quotients:
             raise ValueError("a regular continued fraction needs >= 1 quotient")
-        for j, a in enumerate(self.quotients):
-            if not isinstance(a, LaurentPair) or a.is_zero():
-                raise ValueError(f"quotient {j + 1} must be a nonzero Laurent pair")
-            if a.max_exponent() > 0:
+        for j, (p, m) in enumerate(self.quotients):
+            if not p.constant():
+                raise ValueError(f"quotient {j + 1} needs P(0) != 0")
+            if p.degree() > m:
                 raise ValueError(f"quotient {j + 1} has positive powers of q")
-            if a.min_exponent() >= 0:
+            if m < 1:
                 raise ValueError(f"quotient {j + 1} is constant in 1/q")
         return self
-
-    def depth(self) -> int:
-        return len(self.quotients)
 
     def value(self, prec: int) -> Series:
         """Power series of the fraction mod q^prec.
@@ -294,9 +293,9 @@ class RegularCF(Record):
         """
         dom = self.dom
         levels, m_prev = [], 0
-        for a in self.quotients:
-            levels.append((Poly.monomial(dom, m_prev + a.shift), a.poly))
-            m_prev = a.shift
+        for p, m in self.quotients:
+            levels.append((Poly.monomial(dom, m_prev + m), p))
+            m_prev = m
         return _levels_value(levels, dom, prec)
 
 
@@ -326,7 +325,7 @@ def artin_expand(f: Series, max_quotients: int) -> RegularCF:
             break  # cannot see the whole quotient
         w = unit.invert()  # 1/cur = q^(-v) * w
         head = Poly(dom, w.coeffs[: v + 1])
-        quotients.append(LaurentPair(head, v))
+        quotients.append((head, v))
         cur = w.shift_down(min(v + 1, w.prec)).shift_up(1)
         if cur.prec <= 1:
             break
@@ -353,7 +352,7 @@ def hf_to_artin(hf: PeriodicHFraction, nterms: int) -> RegularCF:
             c = dom.inv(vj)
         else:
             c = dom.reduce(-dom.inv(vj * c))
-        quotients.append(LaurentPair(t.d.scale(c), t.k + 1))
+        quotients.append((t.d.scale(c), t.k + 1))
     complete = hf.terminated and len(terms) == hf.n_stored_terms()
     return RegularCF(tuple(quotients), complete=complete).validate()
 
@@ -365,18 +364,14 @@ def artin_to_hf(cf: RegularCF) -> PeriodicHFraction:
     dom = cf.dom
     terms = []
     c_prev = None
-    for j, a in enumerate(cf.quotients):
-        m = -a.min_exponent()
-        k = m - 1
-        c = a.coefficient(-m)
-        d = a.poly.scale(dom.inv(c))
-        if d.constant() != dom.from_int(1):
-            raise ValueError(f"quotient {j + 1} does not normalize to D(0) = 1")
+    for j, (p, m) in enumerate(cf.quotients):
+        c = p.constant()
+        d = p.scale(dom.inv(c))
         if j == 0:
             v = dom.inv(c)
         else:
             v = dom.reduce(-dom.inv(c * c_prev))
-        terms.append(HFTerm(k=k, v=v, d=d).validate())
+        terms.append(HFTerm(k=m - 1, v=v, d=d).validate())
         c_prev = c
     return PeriodicHFraction(
         head=terms[0],

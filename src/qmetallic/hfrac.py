@@ -382,24 +382,12 @@ class SupportProfile(Record):
     """Index bookkeeping of a Hankel fraction.
 
     s_p = p + sum_{i<p} k_i enumerates the indices of nonzero Hankel
-    determinants; eps_p = sum_{i<p} k_i(k_i+1)/2 their sign exponents;
-    `support` is the set {s_p}. period_len is the fraction's term-cycle
-    length (0 when none is certified).
+    determinants; eps_p = sum_{i<p} k_i(k_i+1)/2 their sign exponents.
     """
 
     k_seq: tuple
     s_seq: tuple
     eps_seq: tuple
-    support: frozenset
-    period_len: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": list(self.k_seq),
-            "s": list(self.s_seq),
-            "eps": list(self.eps_seq),
-            "period_len": self.period_len,
-        }
 
 
 def support_profile(H: PeriodicHFraction, horizon: int) -> SupportProfile:
@@ -416,13 +404,7 @@ def support_profile(H: PeriodicHFraction, horizon: int) -> SupportProfile:
     for t in terms[:horizon]:
         s_seq.append(s_seq[-1] + 1 + t.k)
         eps_seq.append(eps_seq[-1] + t.k * (t.k + 1) // 2)
-    return SupportProfile(
-        k_seq=k_seq,
-        s_seq=tuple(s_seq),
-        eps_seq=tuple(eps_seq),
-        support=frozenset(s_seq),
-        period_len=len(H.cycle),
-    )
+    return SupportProfile(k_seq=k_seq, s_seq=tuple(s_seq), eps_seq=tuple(eps_seq))
 
 
 def hankel_values_from_hfraction(H: PeriodicHFraction, count: int) -> list:
@@ -472,10 +454,3 @@ def hankel_values_from_hfraction(H: PeriodicHFraction, count: int) -> list:
         if s < count:
             out[s] = delta
     return out
-
-
-def hankel_from_hfraction(H: PeriodicHFraction, j: int):
-    """Exact j-th Hankel determinant of the series represented by H."""
-    if j < 0:
-        raise ValueError("index must be >= 0")
-    return hankel_values_from_hfraction(H, j + 1)[j]

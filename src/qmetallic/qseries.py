@@ -1,9 +1,11 @@
 """q-deformed integers, rationals, and metallic numbers.
 
 The q-deformation of a nonnegative integer n is the polynomial
-[n]_q = 1 + q + ... + q^(n-1); negative integers deform to Laurent
-polynomials in 1/q. A metallic number (n + sqrt(n^2+4))/2 deforms to a
-power series Phi_n that is a root of an explicit quadratic equation with
+[n]_q = 1 + q + ... + q^(n-1). Only these are needed: a q-rational or
+q-real (Morier-Genoud and Ovsienko) is built from the digits of a
+regular continued fraction of a positive number, and those digits are
+nonnegative. A metallic number (n + sqrt(n^2+4))/2 deforms to a power
+series Phi_n that is a root of an explicit quadratic equation with
 polynomial coefficients; `metallic_model` builds that equation and
 `series_of_model` expands any such root as an exact power series.
 """
@@ -13,31 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import Domain, ZZ, LaurentPair, Poly, Record, Series
+from .algebra import Domain, ZZ, Poly, Record, Series
 
 
-def q_integer(n: int, dom: Domain = ZZ):
-    """The q-deformation of an integer.
+def q_integer(n: int, dom: Domain = ZZ) -> Poly:
+    """The q-deformation [n]_q = 1 + q + ... + q^(n-1) of an integer n >= 0.
 
-    Returns a Poly for n >= 0 and a LaurentPair for n < 0 (the deformation
-    of a negative integer is -q^-1 - q^-2 - ... - q^n, polynomial in 1/q).
-    Satisfies [n+1]_q = q*[n]_q + 1 for every integer n.
+    Satisfies [n+1]_q = q*[n]_q + 1.
     """
-    if n >= 0:
-        return Poly(dom, (dom.from_int(1),) * n, normalized=True)
-    return LaurentPair(Poly(dom, (dom.from_int(-1),) * -n, normalized=True), -n)
-
-
-def q_integer_inv(n: int, dom: Domain = ZZ) -> LaurentPair:
-    """The deformation of n evaluated at 1/q, i.e. [n] with q -> q^-1.
-
-    For n >= 1 this is q^(1-n) * [n]_q; exponents flip sign, so the result
-    is a LaurentPair in general (a plain polynomial when n <= 0).
-    """
-    if n >= 0:
-        return LaurentPair(Poly(dom, (dom.from_int(1),) * n, normalized=True), max(n - 1, 0))
-    # exponents +1 .. -n
-    return LaurentPair(Poly(dom, (0,) + (-1,) * -n), 0)
+    if n < 0:
+        raise ValueError(f"q-integers are defined here for n >= 0, got {n}")
+    return Poly(dom, (dom.from_int(1),) * n, normalized=True)
 
 
 def angle_bracket(n: int, dom: Domain = ZZ) -> Poly:

@@ -18,6 +18,7 @@ the first counterexample, so a failing run is directly diagnosable.
 from __future__ import annotations
 
 from .algebra import (
+    Poly,
     PrecisionError,
     Record,
     Series,
@@ -341,10 +342,7 @@ def gale_robinson_check(n: int, ell: int, horizon: int) -> CheckResult:
             values[n + 1:horizon + n + 1],
         )
     ]
-    if any(gammas):
-        j = next(j for j, gamma in enumerate(gammas) if gamma)
-        return CheckResult("gale_robinson", False, (j, 0, gammas[j]), detail)
-    return CheckResult("gale_robinson", True, None, detail)
+    return _compare_lists("gale_robinson", [0] * horizon, gammas, detail)
 
 
 def check_contiguity(n: int, ell: int, horizon: int) -> CheckResult:
@@ -379,17 +377,10 @@ def check_hfraction_shape(n: int) -> CheckResult:
     if got == want:
         return CheckResult("hfraction_shape", True, None, detail)
     count = max(got.n_stored_terms(), want.n_stored_terms()) + 1
-    for i in range(count):
-        try:
-            g = got.term(i)
-        except IndexError:
-            g = None
-        try:
-            w = want.term(i)
-        except IndexError:
-            w = None
-        if g != w:
-            return CheckResult("hfraction_shape", False, (i, w, g), detail)
+    padded = lambda hf: (hf.stream(count) + [None] * count)[:count]
+    result = _compare_lists("hfraction_shape", padded(want), padded(got), detail)
+    if not result.passed:
+        return result
     return CheckResult(
         "hfraction_shape", False, (0, want, got), detail + " (structure mismatch)"
     )
@@ -497,13 +488,8 @@ def check_delta_symmetry(n: int) -> CheckResult:
     M = (2 * n + 1) * (n + 1)
     values = hankel_formula_values(n, 0, M + 1)
     sign = _sign_pow(n * (n + 1) // 2)
-    detail = f"n={n} span={M}"
-    for j in range(M + 1):
-        if values[j] != sign * values[M - j]:
-            return CheckResult(
-                "delta_symmetry", False, (j, sign * values[M - j], values[j]), detail
-            )
-    return CheckResult("delta_symmetry", True, None, detail)
+    want = [sign * v for v in reversed(values)]
+    return _compare_lists("delta_symmetry", want, values, f"n={n} span={M}")
 
 
 def support_membership(n: int, j: int):
@@ -538,15 +524,11 @@ def check_support_membership(n: int) -> CheckResult:
     determinants out to beyond one full period."""
     top = 2 * n * (n + 2) + 1
     values = hankel_formula_values(n, 0, top + 1)
-    detail = f"n={n} max_index={top}"
-    for j in range(top + 1):
-        claimed = support_membership(n, j)[0]
-        actual = values[j] != 0
-        if claimed != actual:
-            return CheckResult(
-                "support_membership", False, (j, actual, claimed), detail
-            )
-    return CheckResult("support_membership", True, None, detail)
+    actual = [v != 0 for v in values]
+    claimed = [support_membership(n, j)[0] for j in range(top + 1)]
+    return _compare_lists(
+        "support_membership", actual, claimed, f"n={n} max_index={top}"
+    )
 
 
 def support_sets(n: int):
@@ -571,11 +553,9 @@ def check_profile_identities(n: int) -> list:
     out = []
 
     def pairwise(name, pairs):
-        for i, (want, got) in enumerate(pairs):
-            if want != got:
-                out.append(CheckResult(name, False, (i, want, got), detail))
-                return
-        out.append(CheckResult(name, True, None, detail))
+        wants = [want for want, _ in pairs]
+        gots = [got for _, got in pairs]
+        out.append(_compare_lists(name, wants, gots, detail))
 
     pairwise("k_palindrome", [(k[i], k[6 * n - 2 - i]) for i in range(6 * n - 1)])
     pairwise("k_half_period_shift", [(k[i], k[i + 3 * n + 1]) for i in range(3 * n - 2)])
@@ -617,8 +597,6 @@ def check_stream_symmetries(n: int) -> list:
     correction on denominators, and a half-period translation."""
     if n < 3:
         raise ValueError("stream symmetries assume n >= 3")
-    from .algebra import Poly
-
     hf = expected_hfraction(n)
     levels = tuple(hf.rendered(j) for j in range(6 * n - 1))
     alpha = lambda i: levels[i][0]

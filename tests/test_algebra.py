@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 import qmetallic
 from qmetallic import (
     ExactDivisionError,
-    LaurentPair,
     Poly,
     PrecisionError,
     Series,
@@ -21,7 +20,6 @@ from qmetallic import (
     leading_minors,
     metallic_series,
     prime_field,
-    series_lowest_term,
 )
 
 
@@ -100,13 +98,6 @@ def test_series_invert_rejects_non_unit_constant():
         Series(ZZ, [2, 1], 4).invert()
     with pytest.raises(ExactDivisionError):
         Series(ZZ, [0, 1], 4).invert()
-
-
-def test_series_lowest_term_examples():
-    assert series_lowest_term(Series(ZZ, [0, 0, 1, -1, 2], 5)) == (2, 1)
-    assert series_lowest_term(Series(ZZ, [3, 1], 2)) == (0, 3)
-    with pytest.raises(ValueError):
-        series_lowest_term(Series(ZZ, [], 10))
 
 
 def test_series_division_loses_precision_by_divisor_valuation():
@@ -388,17 +379,6 @@ def test_prime_field_determinant_is_the_integer_one_reduced(rows):
     want = det_fraction_free(rows, ZZ)
     for p in (2, 7, 10000000000037):
         assert det_fraction_free(rows, prime_field(p)) == want % p
-
-
-# --- Laurent pairs --------------------------------------------------------------
-
-
-def test_laurent_pair_normalizes_shift_against_valuation():
-    lp = LaurentPair(Poly(ZZ, [0, 0, 1]), 1)  # q^2 * q^-1 = q
-    assert lp.min_exponent() == 1
-    product = LaurentPair(lp.poly, lp.shift + 2)  # times q^-2
-    assert product.min_exponent() == -1
-    assert product == LaurentPair(Poly(ZZ, [1]), 1)
 
 
 def test_polynomial_rendering_ascending_with_carets():

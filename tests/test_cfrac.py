@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from qmetallic import (
     HFTerm,
-    LaurentPair,
     PeriodicHFraction,
     Poly,
     PrecisionError,
+    RegularCF,
     Series,
     ZZ,
     QQ,
@@ -194,17 +194,16 @@ def test_greedy_expansion_round_trips_rational_series(num, den_tail):
 def test_artin_expand_geometric_series():
     f = Series(ZZ, [0] + [1] * 11, 12)  # q + q^2 + ...
     cf = artin_expand(f, max_quotients=5)
-    assert cf.depth() == 1 and cf.complete
-    # single quotient 1/q - 1
-    (a1,) = cf.quotients
-    assert a1.coefficient(-1) == 1 and a1.coefficient(0) == -1
+    assert len(cf.quotients) == 1 and cf.complete
+    # single quotient 1/q - 1 = (1 - q) q^-1
+    assert cf.quotients == ((Poly(ZZ, [1, -1]), 1),)
 
 
 def test_artin_expand_single_monomial():
     cf = artin_expand(series([0, 1], prec=8), max_quotients=4)
-    assert cf.depth() == 1 and cf.complete
-    (a1,) = cf.quotients
-    assert a1.coefficient(-1) == 1 and a1.coefficient(0) == 0
+    assert len(cf.quotients) == 1 and cf.complete
+    # single quotient 1/q
+    assert cf.quotients == ((Poly(ZZ, [1]), 1),)
 
 
 def test_artin_expand_needs_vanishing_constant_term():
@@ -213,12 +212,10 @@ def test_artin_expand_needs_vanishing_constant_term():
 
 
 def test_artin_convergents_improve_strictly():
-    from qmetallic import RegularCF
-
     f = metallic_series(1, 40, dom=QQ).shift_up(1).truncate(40)
     cf = artin_expand(f, max_quotients=8)
     gaps = []
-    for depth in range(1, cf.depth() + 1):
+    for depth in range(1, len(cf.quotients) + 1):
         approx = RegularCF(cf.quotients[:depth]).value(40)
         gaps.append((f - approx).valuation() or 40)
     assert gaps == sorted(gaps) and len(set(gaps)) == len(gaps)
@@ -229,8 +226,8 @@ def test_dictionary_round_trip_and_degree_link():
     cf = hf_to_artin(hf, 30)
     # k_j = m_(j+1) - 1 term-for-term
     terms = hf.stream(30)
-    for t, a in zip(terms, cf.quotients):
-        assert -a.min_exponent() == t.k + 1
+    for t, (p, m) in zip(terms, cf.quotients):
+        assert m == t.k + 1 and p.constant()
     back = artin_to_hf(cf)
     assert back.stream(30) == terms
 
@@ -256,7 +253,28 @@ def test_dictionary_against_direct_expansion_for_catalan():
 
 
 def test_artin_to_hf_rejects_constant_quotients():
-    from qmetallic import RegularCF
-
     with pytest.raises(ValueError):
-        RegularCF((LaurentPair(Poly(QQ, [1]), 0),)).validate()
+        RegularCF(((Poly(QQ, [1]), 0),)).validate()
+
+
+def test_regular_cf_validate_checks_each_pair():
+    good = (Poly(QQ, [1, 2]), 1)  # 1/q + 2
+    assert RegularCF((good,)).validate().quotients == (good,)
+    for bad in (
+        (Poly.zero(QQ), 1),  # zero P
+        (Poly(QQ, [0, 1]), 2),  # P(0) = 0
+        (Poly(QQ, [1, 0, 1]), 1),  # deg P > m: a positive power of q
+        (Poly(QQ, [1]), 0),  # m = 0: constant in 1/q
+    ):
+        with pytest.raises(ValueError):
+            RegularCF((good, bad)).validate()
+
+
+def test_dictionary_quotients_are_plain_pairs():
+    cfs = [artin_expand(metallic_series(n, 30).shift_up(1), 10) for n in (1, 2, 3)]
+    cfs += [hf_to_artin(expected_hfraction(n), 12) for n in (1, 2, 3)]
+    cfs.append(hf_to_artin(greedy_hfraction(series([1, 1], prec=20), 10), 10))
+    for cf in cfs:
+        for p, m in cf.quotients:
+            assert type(p) is Poly and type(m) is int
+            assert p.constant() and 1 <= m and p.degree() <= m

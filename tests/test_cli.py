@@ -19,6 +19,9 @@ from qmetallic.algebra import PRIMALITY_BOUND
 import goldens
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# environment of a child interpreter that imports the package from this
+# checkout, whether or not pytest itself was given PYTHONPATH
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 SCHEMA_DIR = ROOT / "schemas"
 SCHEMAS = {
     p.stem: json.loads(p.read_text()) for p in SCHEMA_DIR.glob("*.json")
@@ -292,6 +295,7 @@ def console_script():
 def test_console_script_runs():
     r = subprocess.run(
         console_script() + ["series", "--n", "1", "--prec", "3"],
+        env=SRC_ENV,
         capture_output=True,
         text=True,
     )
@@ -308,7 +312,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     r = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=SRC_ENV,
         capture_output=True,
         text=True,
     )
@@ -318,6 +322,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_missing_required_argument_exits_2():
     r = subprocess.run(
         [sys.executable, "-m", "qmetallic.cli", "series"],
+        env=SRC_ENV,
         capture_output=True,
         text=True,
     )

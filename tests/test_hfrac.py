@@ -11,7 +11,6 @@ from qmetallic import (
     alg_step,
     expected_hfraction,
     greedy_hfraction,
-    hankel_from_hfraction,
     hankel_values_from_hfraction,
     hfraction_of_quadratic,
     hfraction_of_shift,
@@ -366,13 +365,6 @@ def test_profile_period_endpoint():
         assert prof.s_seq[6 * n - 4] == 2 * n * (n + 1)
 
 
-def test_profile_json_shape():
-    prof = support_profile(expected_hfraction(3), 10)
-    payload = prof.to_json_dict()
-    assert set(payload) == {"k", "s", "eps", "period_len"}
-    assert payload["s"][0] == 0 and len(payload["k"]) == 11
-
-
 # --- determinant values from the fraction ----------------------------------------------
 
 
@@ -389,7 +381,7 @@ def test_determinants_from_the_26_term_fraction():
 
 
 def test_determinant_index_zero_is_one():
-    assert int(hankel_from_hfraction(expected_hfraction(7), 0)) == 1
+    assert hankel_values_from_hfraction(expected_hfraction(7), 1) == [1]
 
 
 def test_determinants_of_rational_series_vanish_beyond_rank():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from qmetallic import (
-    LaurentPair,
     Model,
     Poly,
     Series,
@@ -18,7 +17,6 @@ from qmetallic import (
     metallic_series,
     motzkin_series,
     q_integer,
-    q_integer_inv,
     q_rational,
     prime_field,
     series_of_model,
@@ -48,19 +46,11 @@ def test_q_integer_recurrence():
         assert q_integer(n + 1) == q * q_integer(n) + one
 
 
-def test_q_integer_negative_is_laurent():
-    val = q_integer(-2)
-    assert isinstance(val, LaurentPair)
-    # -q^-1 - q^-2
-    assert val.coefficient(-1) == -1 and val.coefficient(-2) == -1
-    assert val.coefficient(0) == 0
-
-
-def test_reciprocal_parameter_identity_at_4():
-    # the deformation evaluated at 1/q equals q^(1-n) times the plain one
-    val = q_integer_inv(4)
-    assert isinstance(val, LaurentPair)
-    assert val == LaurentPair(q_integer(4), 3)
+def test_q_integer_rejects_negative():
+    # only nonnegative digits occur in the continued fraction of a q-real
+    for n in (-1, -2, -7):
+        with pytest.raises(ValueError, match="n >= 0"):
+            q_integer(n)
 
 
 # --- the auxiliary bracket polynomial -----------------------------------------

@@ -1,0 +1,77 @@
+"""The public surface: what `qmetallic` exports, and what it no longer has."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import qmetallic
+from qmetallic import Poly, RegularCF, SupportProfile, algebra, hfrac, qseries
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# what `from qmetallic import *` binds: every public name of the package,
+# the five submodules included
+PUBLIC_NAMES = [
+    "AlgStepResult", "CheckResult", "ExactDivisionError", "HFTerm",
+    "HankelReport", "Model", "ModpReport", "PeriodicHFraction", "Poly",
+    "PrecisionError", "QQ", "RegularCF", "SUITES", "ScanReport", "Series",
+    "SupportProfile", "ZZ", "alg_step", "algebra", "angle_bracket",
+    "artin_expand", "artin_to_hf", "baseline_catalan_motzkin",
+    "catalan_series", "cfrac", "check_contiguity", "check_delta_symmetry",
+    "check_explicit_reconstruction", "check_hfraction_shape",
+    "check_profile_identities", "check_stream_symmetries",
+    "check_support_membership", "check_value_set_and_periodicity",
+    "conjecture_scan", "det_fraction_free", "expected_hfraction",
+    "explicit_delta", "explicit_delta_sequence", "explicit_support_index",
+    "gale_robinson_check", "greedy_hfraction", "hankel_bruteforce",
+    "hankel_bruteforce_values", "hankel_formula_values", "hankel_sequence",
+    "hankel_values_from_hfraction", "hf_to_artin", "hfrac",
+    "hfraction_of_quadratic", "hfraction_of_shift", "is_prime",
+    "leading_minors", "metallic_model", "metallic_series", "metallic_step_cap",
+    "modp_analysis", "motzkin_series", "prime_field", "q_integer",
+    "q_rational", "q_rational_pair", "qseries", "run_suite", "series_of_model",
+    "shift_model", "shifted_metallic_model", "shifted_model_chain",
+    "support_membership", "support_profile", "support_sets",
+    "truncate_hfraction_stream", "verify",
+]
+
+# names no CLI path, check or acceptance test needed
+DELETED = [
+    (algebra, "LaurentPair"),
+    (algebra, "series_lowest_term"),
+    (qseries, "q_integer_inv"),
+    (hfrac, "hankel_from_hfraction"),
+]
+
+
+@pytest.mark.parametrize("module, name", DELETED, ids=[n for _, n in DELETED])
+def test_deleted_names_are_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(qmetallic, name)
+
+
+def test_deleted_members_are_gone():
+    assert not hasattr(Poly, "__pow__")
+    assert not hasattr(RegularCF, "depth")
+    assert not hasattr(SupportProfile, "to_json_dict")
+    assert SupportProfile._fields == ("k_seq", "s_seq", "eps_seq")
+
+
+def test_star_import_binds_every_public_name():
+    # a fresh interpreter, so that no submodule imported elsewhere (such as
+    # qmetallic.cli) is bound on the package
+    code = (
+        "ns = {}; exec('from qmetallic import *', ns); "
+        "print(' '.join(sorted(k for k in ns if k != '__builtins__')))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == sorted(PUBLIC_NAMES)

@@ -8,7 +8,12 @@ import pytest
 
 from qmetallic import (
     CheckResult,
+    HFTerm,
+    PeriodicHFraction,
+    Poly,
     PrecisionError,
+    SupportProfile,
+    ZZ,
     baseline_catalan_motzkin,
     catalan_series,
     check_contiguity,
@@ -23,17 +28,22 @@ from qmetallic import (
     explicit_delta,
     explicit_delta_sequence,
     explicit_support_index,
+    expected_hfraction,
     gale_robinson_check,
     hankel_bruteforce,
     hankel_bruteforce_values,
     hankel_formula_values,
     hankel_sequence,
+    hfraction_of_quadratic,
     is_prime,
+    metallic_model,
     metallic_series,
+    metallic_step_cap,
     modp_analysis,
     motzkin_series,
     run_suite,
     support_membership,
+    support_profile,
     support_sets,
 )
 from qmetallic import verify
@@ -442,6 +452,206 @@ def test_stream_symmetries_all_pass():
         "stream_half_palindrome",
         "stream_half_translation",
     }
+
+
+# --- first-mismatch reporting under corruption -------------------------------------
+#
+# Per-index reference loops for the checkers that report through
+# verify._compare_lists: each is the loop the checker ran before, and reads
+# the same (possibly corrupted) data through the verify module.
+
+
+def reference_delta_symmetry(n):
+    M = (2 * n + 1) * (n + 1)
+    values = verify.hankel_formula_values(n, 0, M + 1)
+    sign = -1 if n * (n + 1) // 2 % 2 else 1
+    detail = f"n={n} span={M}"
+    for j in range(M + 1):
+        if values[j] != sign * values[M - j]:
+            return CheckResult(
+                "delta_symmetry", False, (j, sign * values[M - j], values[j]), detail
+            )
+    return CheckResult("delta_symmetry", True, None, detail)
+
+
+def reference_support_membership(n):
+    top = 2 * n * (n + 2) + 1
+    values = verify.hankel_formula_values(n, 0, top + 1)
+    detail = f"n={n} max_index={top}"
+    for j in range(top + 1):
+        claimed = support_membership(n, j)[0]
+        actual = values[j] != 0
+        if claimed != actual:
+            return CheckResult(
+                "support_membership", False, (j, actual, claimed), detail
+            )
+    return CheckResult("support_membership", True, None, detail)
+
+
+def reference_profile_identities(n):
+    prof = verify.support_profile(verify.expected_hfraction(n), 6 * n - 1)
+    k, s, eps = prof.k_seq, prof.s_seq, prof.eps_seq
+    detail = f"n={n}"
+    out = []
+
+    def pairwise(name, pairs):
+        for i, (want, got) in enumerate(pairs):
+            if want != got:
+                out.append(CheckResult(name, False, (i, want, got), detail))
+                return
+        out.append(CheckResult(name, True, None, detail))
+
+    pairwise("k_palindrome", [(k[i], k[6 * n - 2 - i]) for i in range(6 * n - 1)])
+    pairwise("k_half_period_shift", [(k[i], k[i + 3 * n + 1]) for i in range(3 * n - 2)])
+    pairwise("k_half_palindrome", [(k[i], k[3 * n - 3 - i]) for i in range(3 * n - 2)])
+    pairwise(
+        "s_translation",
+        [(s[i] + n + (n + 1) ** 2, s[i + 3 * n + 1]) for i in range(3 * n - 1)],
+    )
+    pairwise(
+        "s_reflection",
+        [((2 * n + 1) * (n + 1), s[i] + s[6 * n - 1 - i]) for i in range(6 * n)],
+    )
+    e_per = n * (n + 1) * (2 * n + 1) // 6
+    pairwise(
+        "eps_translation",
+        [(eps[i] + e_per, eps[i + 3 * n + 1]) for i in range(3 * n - 1)],
+    )
+    e_ref = e_per + n * (n - 1) * (n - 2) // 3
+    pairwise(
+        "eps_reflection",
+        [(e_ref, eps[i] + eps[6 * n - 1 - i]) for i in range(6 * n)],
+    )
+    pairwise("s_period_endpoint", [(2 * n * (n + 1), s[6 * n - 4])])
+    pairwise(
+        "eps_period_endpoint",
+        [((2 * n - 1) * (n * n - n + 3) // 3, eps[6 * n - 4])],
+    )
+    closed_s = []
+    for cls, pmax in ((0, 2 * n - 2), (1, 2 * n - 2), (2, 2 * n - 3)):
+        for p in range(pmax + 1):
+            closed_s.append((explicit_support_index(n, p, cls), s[3 * p + cls]))
+    pairwise("s_closed_form", closed_s)
+    return out
+
+
+def reference_hfraction_shape(n):
+    got = verify.hfraction_of_quadratic(metallic_model(n), metallic_step_cap(n))
+    want = expected_hfraction(n)
+    detail = f"n={n}"
+    if got == want:
+        return CheckResult("hfraction_shape", True, None, detail)
+    count = max(got.n_stored_terms(), want.n_stored_terms()) + 1
+    for i in range(count):
+        try:
+            g = got.term(i)
+        except IndexError:
+            g = None
+        try:
+            w = want.term(i)
+        except IndexError:
+            w = None
+        if g != w:
+            return CheckResult("hfraction_shape", False, (i, w, g), detail)
+    return CheckResult(
+        "hfraction_shape", False, (0, want, got), detail + " (structure mismatch)"
+    )
+
+
+def corrupt_support_profile(monkeypatch, trial):
+    """Patch verify.support_profile so that 1-3 entries of its k, s and eps
+    sequences move by a small amount, seeded by (trial, horizon)."""
+    true_profile = support_profile
+
+    def fake(H, horizon):
+        prof = true_profile(H, horizon)
+        seqs = [list(prof.k_seq), list(prof.s_seq), list(prof.eps_seq)]
+        rng = random.Random(f"{trial}:{horizon}")
+        for _ in range(rng.randint(1, 3)):
+            seq = rng.choice(seqs)
+            seq[rng.randrange(len(seq))] += rng.choice([-2, -1, 1, 2])
+        return SupportProfile(*map(tuple, seqs))
+
+    monkeypatch.setattr(verify, "support_profile", fake)
+
+
+HFRACTION_CORRUPTIONS = ("v", "k", "d", "doubled", "prefix", "extra")
+
+
+def corrupt_hfraction(monkeypatch, trial, kind):
+    """Patch verify.hfraction_of_quadratic so that the discovered fraction
+    differs from the template in one seeded way: a term's v, k or D, a
+    cycle stored twice (same stream), a terminated prefix (a shorter
+    stream), or an extra preamble term (a shifted stream)."""
+    true_expand = hfraction_of_quadratic
+
+    def fake(model, max_steps):
+        hf = true_expand(model, max_steps)
+        rng = random.Random(f"{trial}:{kind}")
+        terms = [hf.head, *hf.cycle]
+        if kind == "doubled":
+            return PeriodicHFraction(hf.head, (), hf.cycle * 2)
+        if kind == "prefix":
+            cut = rng.randrange(len(terms))
+            return PeriodicHFraction(hf.head, tuple(terms[1:cut + 1]), terminated=True)
+        if kind == "extra":
+            return PeriodicHFraction(hf.head, (rng.choice(terms),), hf.cycle)
+        i = rng.randrange(len(terms))
+        t = terms[i]
+        if kind == "v":
+            terms[i] = HFTerm(t.k, -t.v, t.d)
+        elif kind == "k":
+            terms[i] = HFTerm(t.k + 1, t.v, t.d)
+        else:
+            terms[i] = HFTerm(t.k, t.v, t.d + Poly.monomial(ZZ, t.k + 1))
+        return PeriodicHFraction(terms[0], (), tuple(terms[1:]))
+
+    monkeypatch.setattr(verify, "hfraction_of_quadratic", fake)
+
+
+def test_compare_lists_checkers_match_the_per_index_loops(monkeypatch):
+    rng = random.Random(20261019)
+    failed = {
+        "thmC": 0, "delta_symmetry": 0, "support_membership": 0,
+        "profile": 0, "hfraction": 0, "none_padding": 0, "structure": 0,
+    }
+    for trial in range(30):
+        for n in range(3, 7):
+            corrupted = {0} if rng.random() < 0.8 else set()
+            corrupt_formula_values(monkeypatch, trial, corrupted)
+            fast = check_delta_symmetry(n)
+            assert as_tuple(fast) == as_tuple(reference_delta_symmetry(n))
+            failed["delta_symmetry"] += not fast.passed
+            fast = check_support_membership(n)
+            assert as_tuple(fast) == as_tuple(reference_support_membership(n))
+            failed["support_membership"] += not fast.passed
+
+            ell = rng.randrange(n + 2)
+            corrupt_formula_values(monkeypatch, trial, {ell} if corrupted else set())
+            horizon = 2 * n * (n + 1)
+            fast = gale_robinson_check(n, ell, horizon)
+            assert as_tuple(fast) == as_tuple(reference_gale_robinson(n, ell, horizon))
+            failed["thmC"] += not fast.passed
+
+            corrupt_support_profile(monkeypatch, trial)
+            fast = check_profile_identities(n)
+            assert [as_tuple(r) for r in fast] == [
+                as_tuple(r) for r in reference_profile_identities(n)
+            ]
+            failed["profile"] += sum(not r.passed for r in fast)
+
+            kind = HFRACTION_CORRUPTIONS[(trial + n) % len(HFRACTION_CORRUPTIONS)]
+            corrupt_hfraction(monkeypatch, trial, kind)
+            fast = check_hfraction_shape(n)
+            assert as_tuple(fast) == as_tuple(reference_hfraction_shape(n))
+            failed["hfraction"] += not fast.passed
+            failed["none_padding"] += (
+                fast.counterexample is not None and fast.counterexample[2] is None
+            )
+            failed["structure"] += fast.detail.endswith("(structure mismatch)")
+            monkeypatch.undo()
+    # every kind of failure was reached, not only passing windows
+    assert min(failed.values()) >= 10, failed
 
 
 # --- classical baselines -----------------------------------------------------------
