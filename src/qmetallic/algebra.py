@@ -586,9 +586,6 @@ class Series:
                 return i
         return None
 
-    def is_zero_to_precision(self) -> bool:
-        return self.valuation() is None
-
     def truncate(self, prec: int) -> "Series":
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .hfrac import expected_hfraction, hfraction_of_shift
+from .hfrac import hfraction_of_shift
 from .qseries import metallic_series
 from .verify import (
     SUITES,
@@ -51,10 +51,6 @@ def _default_precision() -> int:
     if prec < 1:
         raise UsageError("HM_DEFAULT_PRECISION must be >= 1")
     return prec
-
-
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_cell(v) -> str:
@@ -96,7 +92,9 @@ def _parse_n_range(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns (exit_code, output_text)
+# Subcommands: each validates its arguments, computes, and returns
+# (exit_code, json_payload, csv_header, csv_rows, text_lines); `main`
+# renders the one that --format names.
 
 
 def _cmd_series(args) -> tuple:
@@ -104,18 +102,9 @@ def _cmd_series(args) -> tuple:
     if args.n < 1 or prec < 1:
         raise UsageError("series needs --n >= 1 and --prec >= 1")
     f = metallic_series(args.n, prec)
-    if args.format == "json":
-        payload = {
-            "command": "series",
-            "n": args.n,
-            "prec": prec,
-            "coefficients": [int(c) for c in f.coeffs],
-        }
-        return EXIT_OK, _dump_json(payload)
-    if args.format == "csv":
-        rows = [(args.n, j, int(c)) for j, c in enumerate(f.coeffs)]
-        return EXIT_OK, _csv_table(("n", "j", "coefficient"), rows)
-    return EXIT_OK, f"{f}\n"
+    payload = {"n": args.n, "prec": prec, "coefficients": list(f.coeffs)}
+    rows = [(args.n, j, c) for j, c in enumerate(f.coeffs)]
+    return EXIT_OK, payload, ("n", "j", "coefficient"), rows, [str(f)]
 
 
 def _cmd_hfrac(args) -> tuple:
@@ -127,26 +116,14 @@ def _cmd_hfrac(args) -> tuple:
             f"the fraction is available for --ell 0..{n + 1} (got {ell}); "
             "larger shifts have no known periodic form"
         )
-    hf = expected_hfraction(n) if ell == 0 else hfraction_of_shift(n, ell)
+    hf = hfraction_of_shift(n, ell)
     offset = 1 + len(hf.preamble)
-    if args.format == "json":
-        payload = hf.to_json_dict()
-        payload.update(
-            {
-                "command": "hfrac",
-                "n": n,
-                "ell": ell,
-                "period": len(hf.cycle),
-                "offset": offset,
-            }
-        )
-        return EXIT_OK, _dump_json(payload)
-    if args.format == "csv":
-        rows = []
-        for i, t in enumerate(hf.stream(hf.n_stored_terms())):
-            part = "head" if i == 0 else ("preamble" if i < offset else "cycle")
-            rows.append((n, ell, i, part, t.k, int(t.v), str(t.d)))
-        return EXIT_OK, _csv_table(("n", "ell", "index", "part", "k", "v", "den"), rows)
+    payload = hf.to_json_dict()
+    payload.update(n=n, ell=ell, period=len(hf.cycle), offset=offset)
+    rows = []
+    for i, t in enumerate(hf.stream(hf.n_stored_terms())):
+        part = "head" if i == 0 else ("preamble" if i < offset else "cycle")
+        rows.append((n, ell, i, part, t.k, t.v, str(t.d)))
     level = lambda j: "({})/({})".format(*hf.rendered(j))
     lines = [f"n={n} ell={ell} period={len(hf.cycle)} offset={offset}"]
     lines.append(f"head: {level(0)}")
@@ -160,7 +137,8 @@ def _cmd_hfrac(args) -> tuple:
             lines.append(f"  [{j}] {level(j + ncyc)}")
     if hf.terminated:
         lines.append("terminating fraction (rational series)")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    header = ("n", "ell", "index", "part", "k", "v", "den")
+    return EXIT_OK, payload, header, rows, lines
 
 
 def _cmd_hankel(args) -> tuple:
@@ -178,18 +156,12 @@ def _cmd_hankel(args) -> tuple:
         )
     report = hankel_sequence(n, ell, horizon, source)
     code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["command"] = "hankel"
-        return code, _dump_json(payload)
-    if args.format == "csv":
-        return code, _csv_table(("n", "ell", "j", "delta", "source"), report.csv_rows())
+    rows = [(n, ell, j, v, source) for j, v in enumerate(report.values)]
     lines = [f"n={n} ell={ell} horizon={horizon} source={source}"]
-    for j, v in enumerate(report.values):
-        lines.append(f"{j:4d} {v}")
-    for c in report.checks:
-        lines.append(_check_line(c))
-    return code, "\n".join(lines) + "\n"
+    lines += [f"{j:4d} {v}" for j, v in enumerate(report.values)]
+    lines += [_check_line(c) for c in report.checks]
+    header = ("n", "ell", "j", "delta", "source")
+    return code, report.to_json_dict(), header, rows, lines
 
 
 def _check_line(c) -> str:
@@ -206,32 +178,25 @@ def _check_line(c) -> str:
 def _cmd_verify(args) -> tuple:
     n_values = _parse_n_range(args.n)
     checks = run_suite(args.suite, n_values)
+    if not checks:
+        # thm51 and symmetries skip every n < 3
+        raise UsageError(f"suite {args.suite} needs n >= 3, got --n {args.n}")
     passed = all(c.passed for c in checks)
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "suite": args.suite,
-            "n_values": n_values,
-            "pass": passed,
-            "checks": [c.to_json_dict() for c in checks],
-        }
-        return code, _dump_json(payload)
-    if args.format == "csv":
-        rows = [
-            (c.name, "pass" if c.passed else "fail", c.detail)
-            for c in checks
-        ]
-        return code, _csv_table(("check", "status", "detail"), rows)
+    payload = {
+        "suite": args.suite,
+        "n_values": n_values,
+        "pass": passed,
+        "checks": [c.to_json_dict() for c in checks],
+    }
+    rows = [(c.name, "pass" if c.passed else "fail", c.detail) for c in checks]
     lines = [_check_line(c) for c in checks]
     lines.append(f"{'PASS' if passed else 'FAIL'} suite={args.suite} "
                  f"({sum(c.passed for c in checks)}/{len(checks)} checks)")
-    return code, "\n".join(lines) + "\n"
+    return code, payload, ("check", "status", "detail"), rows, lines
 
 
 def _cmd_modp(args) -> tuple:
-    if args.p is None:
-        raise UsageError("modp needs --p")
     try:
         prime = is_prime(args.p)
     except ValueError as e:
@@ -240,41 +205,32 @@ def _cmd_modp(args) -> tuple:
         raise UsageError(f"--p must be prime, got {args.p}")
     if args.n < 1 or args.ell < 0 or args.max_steps < 1:
         raise UsageError("modp needs --n >= 1, --ell >= 0, --max-steps >= 1")
-    report = modp_analysis(args.n, args.ell, args.p, max_steps=args.max_steps)
+    r = modp_analysis(args.n, args.ell, args.p, max_steps=args.max_steps)
     # inconclusive is exit 0; a failed comparison check is a real failure
-    code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["command"] = "modp"
-        return code, _dump_json(payload)
-    if args.format == "csv":
-        rows = [(
-            report.n, report.ell, report.p,
-            "yes" if report.conclusive else "no",
-            report.hfraction_preperiod, report.hfraction_period,
-            report.hankel_preperiod, report.hankel_period,
-        )]
-        header = ("n", "ell", "p", "conclusive",
-                  "hfraction_preperiod", "hfraction_period",
-                  "hankel_preperiod", "hankel_period")
-        return code, _csv_table(header, rows)
-    lines = [f"n={report.n} ell={report.ell} p={report.p}"]
-    if not report.conclusive:
-        lines.append(f"inconclusive: no cycle within {report.max_steps} steps")
+    code = EXIT_OK if r.passed else EXIT_CHECK_FAILED
+    header = ("n", "ell", "p", "conclusive",
+              "hfraction_preperiod", "hfraction_period",
+              "hankel_preperiod", "hankel_period")
+    rows = [(
+        r.n, r.ell, r.p, "yes" if r.conclusive else "no",
+        r.hfraction_preperiod, r.hfraction_period,
+        r.hankel_preperiod, r.hankel_period,
+    )]
+    lines = [f"n={r.n} ell={r.ell} p={r.p}"]
+    if not r.conclusive:
+        lines.append(f"inconclusive: no cycle within {r.max_steps} steps")
     else:
         lines.append(
-            f"fraction stream: preperiod={report.hfraction_preperiod} "
-            f"period={report.hfraction_period}"
-            + (" (terminated)" if report.hfraction_terminated else "")
+            f"fraction stream: preperiod={r.hfraction_preperiod} "
+            f"period={r.hfraction_period}"
+            + (" (terminated)" if r.hfraction_terminated else "")
         )
         lines.append(
-            f"determinant stream: preperiod={report.hankel_preperiod} "
-            f"period={report.hankel_period} "
-            f"(window {report.hankel_window})"
+            f"determinant stream: preperiod={r.hankel_preperiod} "
+            f"period={r.hankel_period} (window {r.hankel_window})"
         )
-    for c in report.checks:
-        lines.append(_check_line(c))
-    return code, "\n".join(lines) + "\n"
+    lines += [_check_line(c) for c in r.checks]
+    return code, r.to_json_dict(), header, rows, lines
 
 
 def _cmd_scan(args) -> tuple:
@@ -290,22 +246,15 @@ def _cmd_scan(args) -> tuple:
     horizon = args.horizon if args.horizon is not None else 4 * n * (n + 1)
     if horizon < 1:
         raise UsageError("--horizon must be >= 1")
-    report = conjecture_scan(n, ell, horizon)
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["command"] = "scan"
-        return EXIT_OK, _dump_json(payload)
-    if args.format == "csv":
-        rows = [(report.n, report.ell, j, int(v), "brute_force")
-                for j, v in enumerate(report.values)]
-        return EXIT_OK, _csv_table(("n", "ell", "j", "delta", "source"), rows)
+    r = conjecture_scan(n, ell, horizon)
+    rows = [(n, ell, j, v, "brute_force") for j, v in enumerate(r.values)]
     lines = [
-        f"n={report.n} ell={report.ell} horizon={report.horizon} (exploratory)",
-        f"values in [{report.value_min}, {report.value_max}], "
-        f"max |delta| = {report.max_abs}",
-        f"periodicity: {report.periodicity_verdict}",
+        f"n={n} ell={ell} horizon={horizon} (exploratory)",
+        f"values in [{r.value_min}, {r.value_max}], max |delta| = {r.max_abs}",
+        f"periodicity: {r.periodicity_verdict}",
     ]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    header = ("n", "ell", "j", "delta", "source")
+    return EXIT_OK, r.to_json_dict(), header, rows, lines
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +328,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, text = args.run(args)
+        code, payload, header, rows, lines = args.run(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        payload["command"] = args.command
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    elif args.format == "csv":
+        text = _csv_table(header, rows)
+    else:
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -244,10 +244,11 @@ def _metallic_template(n: int, dom: Domain) -> PeriodicHFraction:
 def shift_model(model: Model, f0) -> Model:
     """Model of the tail (F - f0)/q, given the root's constant term f0.
 
-    The update is A' = (A + f0 B + f0^2 C)/q, B' = B + 2 f0 C, C' = q C,
-    followed by rescaling so B'(0) = 1 (a no-op for valid inputs, kept
-    for models handed in unnormalized).
+    The update is A' = (A + f0 B + f0^2 C)/q, B' = B + 2 f0 C, C' = q C.
+    The input must be a valid model; then B'(0) = B(0) + 2 f0 C(0) = 1,
+    so the result is one too, with no rescaling.
     """
+    model.validate()
     dom = model.dom
     f0 = dom.coerce(f0)
     a_pol, b_pol, c_pol = model.a, model.b, model.c
@@ -262,14 +263,6 @@ def shift_model(model: Model, f0) -> Model:
     a_new = shifted.exact_div_monomial(1)
     b_new = b_pol + c_pol.scale(2 * f0)
     c_new = c_pol.shift(1)
-    b0 = b_new.constant()
-    if b0 != dom.from_int(1):
-        if not dom.is_unit(b0):
-            raise ExactDivisionError(f"cannot normalize: B(0) = {b0} is not a unit")
-        u = dom.inv(b0)
-        a_new, b_new, c_new = a_new.scale(u), b_new.scale(u), c_new.scale(u)
-    if a_new.is_zero():
-        raise ValueError("the tail series is zero beyond this coefficient")
     return Model(a_new, b_new, c_new).validate()
 
 
@@ -364,11 +357,16 @@ def hfraction_of_shift(n: int, ell: int, dom: Domain = ZZ) -> PeriodicHFraction:
 
     Dropping m terms with m = 3*ell (ell <= n-1), 3n-1 (ell = n), or
     3n (ell = n+1) exposes the fraction of the shifted series directly;
-    no re-expansion is needed. Valid for 1 <= ell <= n+1; ell = 0 is just
-    expected_hfraction.
+    no re-expansion is needed. Valid for 0 <= ell <= n+1, where the
+    fraction is known; ell = 0 returns expected_hfraction(n, dom) itself.
     """
-    if not 1 <= ell <= n + 1:
-        raise ValueError(f"shift must be in 1..n+1 for the truncation rule, got {ell}")
+    if not 0 <= ell <= n + 1:
+        raise ValueError(
+            f"the fraction is known for shifts 0..{n + 1}, got {ell}; "
+            "only the brute-force route reaches larger shifts"
+        )
+    if ell == 0:
+        return expected_hfraction(n, dom)
     if ell <= n - 1:
         drop = 3 * ell
     elif ell == n:

@@ -79,6 +79,20 @@ class CheckResult(Record):
         return out
 
 
+def _report_json(report) -> dict:
+    """A report's JSON payload: every field under its own name, tuples as
+    lists, and each of `checks` by CheckResult.to_json_dict."""
+    out = {}
+    for f in report._fields:
+        v = getattr(report, f)
+        if f == "checks":
+            v = [c.to_json_dict() for c in v]
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[f] = v
+    return out
+
+
 class HankelReport(Record):
     """A window of Hankel determinant values with provenance.
 
@@ -98,21 +112,7 @@ class HankelReport(Record):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "horizon": self.horizon,
-            "source": self.source,
-            "values": [int(v) for v in self.values],
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-    def csv_rows(self):
-        return [
-            (self.n, self.ell, j, int(v), self.source)
-            for j, v in enumerate(self.values)
-        ]
+    to_json_dict = _report_json
 
 
 class ModpReport(Record):
@@ -138,21 +138,7 @@ class ModpReport(Record):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "p": self.p,
-            "max_steps": self.max_steps,
-            "conclusive": self.conclusive,
-            "hfraction_preperiod": self.hfraction_preperiod,
-            "hfraction_period": self.hfraction_period,
-            "hfraction_terminated": self.hfraction_terminated,
-            "hankel_preperiod": self.hankel_preperiod,
-            "hankel_period": self.hankel_period,
-            "hankel_window": self.hankel_window,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+    to_json_dict = _report_json
 
 
 class ScanReport(Record):
@@ -169,18 +155,7 @@ class ScanReport(Record):
     values: tuple = ()
     label: str = "exploratory"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "horizon": self.horizon,
-            "label": self.label,
-            "value_min": int(self.value_min),
-            "value_max": int(self.value_max),
-            "max_abs": int(self.max_abs),
-            "periodicity_verdict": self.periodicity_verdict,
-            "values": [int(v) for v in self.values],
-        }
+    to_json_dict = _report_json
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +205,7 @@ def _bruteforce_window(F: Series, ell: int, count: int) -> list:
 def hankel_formula_values(n: int, ell: int, count: int) -> list:
     """First count Hankel determinants via the periodic-fraction product
     formula. Available for ell <= n+1 (where the fraction is known)."""
-    if not 0 <= ell <= n + 1:
-        raise ValueError(
-            f"the fraction route covers shifts 0..{n + 1}, got {ell}; "
-            "use the brute-force route beyond"
-        )
-    H = expected_hfraction(n) if ell == 0 else hfraction_of_shift(n, ell)
-    return hankel_values_from_hfraction(H, count)
+    return hankel_values_from_hfraction(hfraction_of_shift(n, ell), count)
 
 
 def hankel_sequence(n: int, ell: int, horizon: int, source: str = "both") -> HankelReport:

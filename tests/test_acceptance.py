@@ -239,7 +239,7 @@ def test_14_artin_dictionary_round_trips_and_matches_greedy():
         f = Series.from_poly(Poly(QQ, num), prec) * Series.from_poly(
             Poly(QQ, den), prec
         ).invert()
-        if f.is_zero_to_precision():
+        if f.valuation() is None:
             continue
         via_artin = artin_to_hf(artin_expand(f.shift_up(1).truncate(prec), 14))
         direct = greedy_hfraction(f, max_terms=14)

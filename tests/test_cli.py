@@ -1,5 +1,6 @@
 """Command-line behavior: formats, schemas, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 from qmetallic import CheckResult
-from qmetallic import cli
+from qmetallic import cli, verify
 from qmetallic.algebra import PRIMALITY_BOUND
 
 import goldens
@@ -187,6 +188,13 @@ def test_verify_drops_repeated_n_values(capsys):
     assert len(payload["checks"]) == 3
 
 
+@pytest.mark.parametrize("suite, n", [("thm51", "1"), ("symmetries", "1..2")])
+def test_verify_refuses_a_suite_that_checks_nothing(suite, n, capsys):
+    code, out, err = run(["verify", "--suite", suite, "--n", n], capsys)
+    assert code == 2 and out == ""
+    assert "n >= 3" in err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, _ = run(["verify", "--suite", "nope", "--n", "1"], capsys)
     assert code == 2
@@ -262,13 +270,61 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "argv, code, digest", goldens.CLI_DIGESTS, ids=[c[0] for c in goldens.CLI_DIGESTS]
-)
+# every pinned command line that runs on the real routes
+PINNED = goldens.CLI_DIGESTS + goldens.CLI_INCONCLUSIVE_DIGESTS
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[c[0] for c in PINNED])
 def test_stdout_bytes_match_the_pinned_digest(argv, code, digest, capsys):
     got_code, out, _ = run(argv.split(), capsys)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def corrupt_formula_route(monkeypatch):
+    """Raise the value at j = 3 of every ell = 1 formula window by one."""
+    real = verify.hankel_formula_values
+
+    def corrupted(n, ell, count):
+        values = real(n, ell, count)
+        return [v + 1 if j == 3 and ell == 1 else v for j, v in enumerate(values)]
+
+    monkeypatch.setattr(verify, "hankel_formula_values", corrupted)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    goldens.CLI_FAILING_DIGESTS,
+    ids=[c[0] for c in goldens.CLI_FAILING_DIGESTS],
+)
+def test_failing_checks_print_the_pinned_bytes(argv, code, digest, capsys, monkeypatch):
+    corrupt_formula_route(monkeypatch)
+    got_code, out, _ = run(argv.split(), capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[c[0] for c in PINNED])
+def test_out_flag_writes_the_stdout_bytes(argv, code, digest, capsys, tmp_path):
+    target = tmp_path / "out"
+    got_code, out, _ = run(argv.split() + ["--out", str(target)], capsys)
+    assert got_code == code and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_only_main_reads_the_output_format():
+    # one place picks the rendering: no subcommand branches on --format
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    readers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "format"
+                and not isinstance(node.value, ast.Constant)  # str.format
+            ):
+                readers.append(getattr(top, "name", None))
+    assert readers and set(readers) == {"main"}
 
 
 def test_out_flag_writes_the_file(capsys, tmp_path):

@@ -254,6 +254,13 @@ def test_shift_rejects_wrong_constant_term():
         shift_model(metallic_model(3), 2)
 
 
+def test_shift_rejects_an_unnormalized_model():
+    # twice a valid model: B(0) = 2, a unit of QQ, but still not a model
+    doubled = Model(a=Poly(QQ, [0, -2]), b=Poly(QQ, [2, 2]), c=Poly(QQ, [0, 0, 2]))
+    with pytest.raises(ValueError, match="B\\(0\\) = 1"):
+        shift_model(doubled, 0)
+
+
 def test_closed_form_shifts_match_iterated_shifting():
     for n in (1, 2, 3, 5):
         for ell in range(0, n + 2):
@@ -304,6 +311,12 @@ def test_shift_fraction_via_truncation_matches_direct_expansion():
         for ell in range(1, n + 2):
             direct = hfraction_of_quadratic(shifted_metallic_model(n, ell))
             assert hfraction_of_shift(n, ell) == direct
+
+
+def test_shift_zero_is_the_template_itself():
+    for dom in (ZZ, prime_field(7)):
+        for n in (1, 2, 5):
+            assert hfraction_of_shift(n, 0, dom) is expected_hfraction(n, dom)
 
 
 def test_shift_one_rendered_heads():

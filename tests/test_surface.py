@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import qmetallic
-from qmetallic import Poly, RegularCF, SupportProfile, algebra, hfrac, qseries
+from qmetallic import (
+    HankelReport, Poly, RegularCF, Series, SupportProfile, algebra, hfrac, qseries,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,6 +58,8 @@ def test_deleted_names_are_gone(module, name):
 def test_deleted_members_are_gone():
     assert not hasattr(Poly, "__pow__")
     assert not hasattr(RegularCF, "depth")
+    assert not hasattr(Series, "is_zero_to_precision")
+    assert not hasattr(HankelReport, "csv_rows")
     assert not hasattr(SupportProfile, "to_json_dict")
     assert SupportProfile._fields == ("k_seq", "s_seq", "eps_seq")
 
