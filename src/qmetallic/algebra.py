@@ -5,9 +5,10 @@ truncated power series and fraction-free determinants. Everything here is
 exact; no floating point anywhere.
 
 Coefficients are plain Python values combined with plain operators
-(`+ - * **`, truthiness for zero tests). ZZ and QQ need nothing more;
-GF(p) arithmetic runs on unreduced ints and `Domain.reduce` brings each
-output coefficient back into range(p) once.
+(`+ - * **`, truthiness for zero tests). ZZ and QQ need nothing more
+and never call `Domain.reduce`; GF(p) arithmetic runs on unreduced ints
+and `Domain.reduce` brings each output coefficient back into range(p)
+once (`Domain.reduces` tells the two cases apart).
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ class Domain:
     """
 
     name: str = "?"
+    # True when `reduce` is not the identity (prime fields): only then do
+    # operator results need a pass through it
+    reduces: bool = False
 
     def __repr__(self):
         return self.name
@@ -250,6 +254,8 @@ def is_prime(p: int) -> bool:
 class PrimeFieldDomain(Domain):
     """Integers modulo a prime, stored as ints in range(p)."""
 
+    reduces = True
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus must be a prime, got {p}")
@@ -330,7 +336,8 @@ class Poly:
     @staticmethod
     def _reduced(dom: Domain, out: list) -> "Poly":
         """Poly of operator results: reduce each once, strip trailing zeros."""
-        out = [dom.reduce(c) for c in out]
+        if dom.reduces:
+            out = [dom.reduce(c) for c in out]
         while out and not out[-1]:
             out.pop()
         return Poly(dom, tuple(out), normalized=True)
@@ -627,7 +634,9 @@ class Series:
     @staticmethod
     def _reduced(dom: Domain, out) -> "Series":
         """Series of operator results, each reduced once."""
-        return Series(dom, tuple([dom.reduce(c) for c in out]), normalized=True)
+        if dom.reduces:
+            out = [dom.reduce(c) for c in out]
+        return Series(dom, tuple(out), normalized=True)
 
     def __add__(self, other):
         dom = self._same_dom(other)

@@ -54,7 +54,10 @@ def _default_precision() -> int:
 
 
 def _csv_cell(v) -> str:
-    # negative numbers are quoted so spreadsheet importers keep them as text
+    # a missing value is an empty cell; negative numbers are quoted so
+    # spreadsheet importers keep them as text
+    if v is None:
+        return ""
     s = str(v)
     return f'"{s}"' if isinstance(v, int) and v < 0 else s
 

@@ -26,7 +26,6 @@ from .algebra import (
     Poly,
     QQ,
     Record,
-    Series,
     ZZ,
 )
 from .cfrac import HFTerm, PeriodicHFraction
@@ -59,36 +58,85 @@ def alg_step(model: Model) -> AlgStepResult:
     All divisions are exact; a failing one signals a corrupted model.
     The step runs in the model's own ring, so the lowest coefficient a
     must be a unit there (ExactDivisionError otherwise).
+
+    The step works on coefficient lists with plain operators: D comes
+    from one truncated power-series division, the product A D is formed
+    once and serves both A* and B*, and each of D, A*, B* and C* is
+    accumulated into one list whose coefficients are reduced once (over
+    GF(p) only; ZZ and QQ call no `reduce`) before its Poly is built.
     """
     model.validate()
     dom = model.dom
-    a_pol, b_pol, c_pol = model.a, model.b, model.c
-    k = a_pol.valuation()
-    a = a_pol.coefficient(k)
+    ac, bc, cc = model.a.coeffs, model.b.coeffs, model.c.coeffs
+    k = model.a.valuation()
+    a = ac[k]
     if not dom.is_unit(a):
         raise ExactDivisionError(
             f"lowest coefficient {a} of A is not invertible in {dom}; "
             "map the model into a field first"
         )
     inv_a = dom.inv(a)
+    zero = dom.from_int(0)
 
-    unit_part = a_pol.exact_div_monomial(k)
-    ratio = Series.from_poly(b_pol, k + 2) * Series.from_poly(unit_part, k + 2).invert()
-    d_coeffs = [a * c for c in ratio.coeffs]
-    d_coeffs[k + 1] -= a * c_pol.coefficient(1)
-    d = Poly(dom, d_coeffs)
+    # D = a B/(A/q^k) - a c1 q^(k+1) mod q^(k+2). D (A/q^k) = a B gives
+    # d_m = b_m - (u_1 d_(m-1) + ... + u_m d_0)/a with u_i = A_(k+i), so
+    # each d_m, once known, is taken off the later coefficients
+    d = list(bc[:k + 2]) + [zero] * (k + 2 - len(bc))
+    if len(cc) > 1:
+        d[k + 1] -= a * cc[1]
+    lower = [(i, inv_a * u) for i, u in enumerate(ac[k + 1:2 * k + 2], 1) if u]
+    for m in range(k + 2):
+        if dom.reduces:
+            d[m] = dom.reduce(d[m])
+        dm = d[m]
+        if dm:
+            for i, u in lower:
+                if m + i > k + 1:
+                    break
+                d[m + i] -= u * dm
+    while not d[-1]:
+        d.pop()
+    d_pol = Poly(dom, tuple(d), normalized=True)
 
-    a_next = (
-        (d * d * a_pol).scale(-inv_a)
-        + (b_pol * d).shift(k)
-        - c_pol.scale(a).shift(2 * k)
-    ).exact_div_monomial(2 * k + 2)
-    if a_next.is_zero():
-        return AlgStepResult(k=k, a=a, d=d, next_model=None)
-    b_next = (a_pol * d).exact_div_monomial(k).scale(2 * inv_a) - b_pol
-    c_next = a_pol.shift(2).scale(-inv_a)
+    # E = A D - a q^k B vanishes to order 2k+1, because D matches
+    # a q^k B/A that far; it carries the one product A D into A* and B*
+    d_terms = [(j, dj) for j, dj in enumerate(d) if dj]
+    e = [zero] * max(len(ac) + len(d) - 1, len(bc) + k)
+    for i, x in enumerate(ac[k:], k):
+        if x:
+            for j, dj in d_terms:
+                e[i + j] += x * dj
+    for j, x in enumerate(bc, k):
+        e[j] -= a * x
+
+    # A* q^(2k+2) = -D E/a - a q^(2k) C
+    e_terms = [(j, x) for j, x in enumerate(e) if x]
+    num = [zero] * max(len(e) + len(d) - 1, len(cc) + 2 * k)
+    for i, dj in d_terms:
+        s = -inv_a * dj
+        for j, x in e_terms:
+            num[i + j] += s * x
+    for j, x in enumerate(cc, 2 * k):
+        num[j] -= a * x
+    if dom.reduces:
+        num = [dom.reduce(x) for x in num]
+    while num and not num[-1]:
+        num.pop()
+    if any(num[:2 * k + 2]):
+        raise ExactDivisionError(f"polynomial not divisible by q^{2 * k + 2}")
+    if len(num) <= 2 * k + 2:
+        return AlgStepResult(k=k, a=a, d=d_pol, next_model=None)
+    a_next = Poly(dom, tuple(num[2 * k + 2:]), normalized=True)
+
+    # B* = 2 A D/(a q^k) - B = 2 E/(a q^k) + B, and C* = -q^2 A/a
+    two_inv_a = 2 * inv_a
+    b_next = [two_inv_a * x for x in e[k:]]
+    for j, x in enumerate(bc):
+        b_next[j] += x
+    c_next = [zero, zero] + [-inv_a * x for x in ac]
+    b_pol, c_pol = Poly._reduced(dom, b_next), Poly._reduced(dom, c_next)
     return AlgStepResult(
-        k=k, a=a, d=d, next_model=Model(a_next, b_next, c_next).validate()
+        k=k, a=a, d=d_pol, next_model=Model(a_next, b_pol, c_pol).validate()
     )
 
 
@@ -149,7 +197,8 @@ def _expand(state: Model, max_steps: int) -> PeriodicHFraction:
             break
         seen[key] = len(terms)
         step = alg_step(state)
-        terms.append(HFTerm(k=step.k, v=dom.reduce(-step.a), d=step.d).validate())
+        v = dom.reduce(-step.a) if dom.reduces else -step.a
+        terms.append(HFTerm(k=step.k, v=v, d=step.d).validate())
         if step.next_model is None:
             preamble = tuple(terms[1:])
             terminated = True

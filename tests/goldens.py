@@ -194,5 +194,15 @@ CLI_FAILING_DIGESTS = [
 CLI_INCONCLUSIVE_DIGESTS = [
     ("modp --n 3 --ell 0 --p 7 --max-steps 1 --format text", 0, "1e4ca1df19cf1e0bc20158d5415ba9e659c544c407c7e22f531467e21cdbcea4"),
     ("modp --n 3 --ell 0 --p 7 --max-steps 1 --format json", 0, "49838ca03213c1c47c2d57b4adb5d0218cfd4d0e78d44128f257a784f72ae2f5"),
-    ("modp --n 3 --ell 0 --p 7 --max-steps 1 --format csv", 0, "515b2b3119f8973c3afc7e5f3285be3f29882bd8270755d4184e37787c9331fc"),
+    ("modp --n 3 --ell 0 --p 7 --max-steps 1 --format csv", 0, "b85ace7718674b090442d2d9946137e147132c49352f829ecbf6b91de28a8298"),
 ]
+
+# --- Suite verdicts -----------------------------------------------------------
+# SHA-256 of repr(tuples), where tuples lists (name, passed, counterexample,
+# detail) for each of the 362 checks of run_suite("all", range(1, 11)), in
+# order. Like the CLI digests, this pins a checked release rather than a
+# hand-entered value: any change to a verdict, a first counterexample or a
+# detail string of any check shows up in Tier-1.
+
+SUITE_ALL_1_10_COUNT = 362
+SUITE_ALL_1_10_SHA256 = "b74fdced76fc66455c78169401e6617beedcfe3ea200eadb1bbae89de71d341e"

@@ -281,6 +281,18 @@ def test_stdout_bytes_match_the_pinned_digest(argv, code, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_csv_leaves_a_missing_value_empty(capsys):
+    # an inconclusive run has no periods: null in JSON, an empty CSV cell
+    argv = ["modp", "--n", "3", "--ell", "0", "--p", "7", "--max-steps", "1"]
+    _, out, _ = run(argv + ["--format", "json"], capsys)
+    payload = json.loads(out)
+    _, out, _ = run(argv + ["--format", "csv"], capsys)
+    header, row = (line.split(",") for line in out.splitlines())
+    cells = dict(zip(header, row))
+    assert payload["hfraction_period"] is None and cells["hfraction_period"] == ""
+    assert "None" not in out
+
+
 def corrupt_formula_route(monkeypatch):
     """Raise the value at j = 3 of every ell = 1 formula window by one."""
     real = verify.hankel_formula_values

@@ -1,6 +1,7 @@
 """Quadratic-model expansion, shifted models, support profiles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmetallic import (
     ExactDivisionError,
@@ -93,6 +94,160 @@ def _root(model, prec):
     from qmetallic import series_of_model
 
     return series_of_model(model, prec)
+
+
+def reference_alg_step(model):
+    """The Poly-operator step that `alg_step` replaced: D from a series
+    inverse and a product, A D formed twice, every intermediate a Poly or
+    Series reduced coefficient by coefficient."""
+    model.validate()
+    dom = model.dom
+    a_pol, b_pol, c_pol = model.a, model.b, model.c
+    k = a_pol.valuation()
+    a = a_pol.coefficient(k)
+    if not dom.is_unit(a):
+        raise ExactDivisionError(
+            f"lowest coefficient {a} of A is not invertible in {dom}; "
+            "map the model into a field first"
+        )
+    inv_a = dom.inv(a)
+
+    unit_part = a_pol.exact_div_monomial(k)
+    ratio = Series.from_poly(b_pol, k + 2) * Series.from_poly(unit_part, k + 2).invert()
+    d_coeffs = [a * c for c in ratio.coeffs]
+    d_coeffs[k + 1] -= a * c_pol.coefficient(1)
+    d = Poly(dom, d_coeffs)
+
+    a_next = (
+        (d * d * a_pol).scale(-inv_a)
+        + (b_pol * d).shift(k)
+        - c_pol.scale(a).shift(2 * k)
+    ).exact_div_monomial(2 * k + 2)
+    if a_next.is_zero():
+        return hfrac.AlgStepResult(k=k, a=a, d=d, next_model=None)
+    b_next = (a_pol * d).exact_div_monomial(k).scale(2 * inv_a) - b_pol
+    c_next = a_pol.shift(2).scale(-inv_a)
+    return hfrac.AlgStepResult(
+        k=k, a=a, d=d, next_model=Model(a_next, b_next, c_next).validate()
+    )
+
+
+def step_outcome(step, model):
+    """(k, a, d, next_model) of one step, or its exception's type and text."""
+    try:
+        res = step(model)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return res.k, res.a, res.d, res.next_model
+
+
+def assert_steps_match_reference(model, max_steps):
+    """Walk the expansion of `model` with both steps until it repeats a
+    model, ends, fails or reaches max_steps; return the last outcome."""
+    seen = set()
+    for count in range(max_steps):
+        want = step_outcome(reference_alg_step, model)
+        assert step_outcome(alg_step, model) == want, (model, count)
+        if len(want) == 2 or want[3] is None or model in seen:
+            break
+        seen.add(model)
+        model = want[3]
+    return want
+
+
+STEP_RINGS = (ZZ, QQ, prime_field(2), prime_field(3), prime_field(7),
+              prime_field(10000000000037))
+
+
+def test_step_matches_the_reference_along_every_small_expansion():
+    non_units = 0
+    for n in range(1, 7):
+        for ell in range(n + 4):
+            base = metallic_model(n) if ell == 0 else shifted_model_chain(n, ell)
+            for dom in STEP_RINGS:
+                last = assert_steps_match_reference(base.map_domain(dom), 60)
+                non_units += last[0] is ExactDivisionError
+    # over ZZ, the walks of 11 of these shifts stop at a non-unit
+    assert non_units == 11
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def step_models(draw):
+    """A valid model over a drawn ring. Its A has valuation k and a drawn
+    lowest coefficient, which over ZZ need not be a unit."""
+    dom = draw(st.sampled_from(STEP_RINGS))
+    k = draw(st.integers(0, 3))
+    low = draw(st.sampled_from((1, -1, 2, -3)))
+    a = [0] * k + [low] + draw(st.lists(_small, max_size=5))
+    b = [1] + draw(st.lists(_small, max_size=5))
+    c = [0] + draw(st.lists(_small, min_size=1, max_size=5))
+    model = Model(Poly(dom, a), Poly(dom, b), Poly(dom, c))
+    if model.a.is_zero() or model.c.is_zero():
+        model = Model(Poly(dom, [0] * k + [1]), model.b, Poly.q(dom))
+    return model
+
+
+@st.composite
+def rational_root_models(draw):
+    """A model whose root c q^k / D is a single fraction term: the model
+    (-(B~ D N + C~ N^2), B~ D^2, C~ D^2) with N = c q^k has root N/D for
+    every B~ with B~(0) = 1 and C~ with C~(0) = 0."""
+    dom = draw(st.sampled_from((ZZ, QQ, prime_field(7))))
+    k = draw(st.integers(0, 3))
+    num = Poly.monomial(dom, k, draw(st.sampled_from((1, -1))))
+    den = Poly(dom, [1] + draw(st.lists(_small, max_size=k + 1)))
+    b = Poly(dom, [1] + draw(st.lists(_small, max_size=3)))
+    c = Poly(dom, [0] + draw(st.lists(_small, max_size=3)))
+    if c.is_zero():
+        c = Poly.q(dom)
+    return Model(-(b * den * num + c * num * num), b * den * den, c * den * den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_models())
+def test_step_matches_the_reference_on_drawn_models(model):
+    assert_steps_match_reference(model, 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_root_models())
+def test_step_matches_the_reference_on_rational_roots(model):
+    want = step_outcome(reference_alg_step, model)
+    assert want[3] is None
+    assert step_outcome(alg_step, model) == want
+
+
+def test_step_matches_the_reference_on_a_remainder(monkeypatch):
+    # C(0) != 0 leaves -a C(0) q^(2k) in the numerator of A*; validation
+    # would refuse the model, so it is switched off to reach the division
+    monkeypatch.setattr(Model, "validate", lambda self: self)
+    for dom in (ZZ, QQ, prime_field(7)):
+        model = Model(Poly(dom, [0, 1, 2]), Poly(dom, [1, 1]), Poly(dom, [1, 1]))
+        want = step_outcome(reference_alg_step, model)
+        assert want == (ExactDivisionError, "polynomial not divisible by q^4")
+        assert step_outcome(alg_step, model) == want
+
+
+def test_integer_and_rational_expansions_never_reduce(monkeypatch):
+    # the last model meets a non-unit over ZZ and is expanded over QQ
+    models = [metallic_model(n) for n in (1, 2, 5)]
+    models += [metallic_model(3).map_domain(QQ), shifted_model_chain(3, 5)]
+    calls = []
+    counted = lambda self, x: calls.append(self) or x
+    for dom in (ZZ, QQ):
+        monkeypatch.setattr(type(dom), "reduce", counted)
+    for model in models:
+        hfraction_of_quadratic(model, 200)
+    assert calls == []
+
+    monkeypatch.undo()
+    gf7 = shifted_model_chain(3, 2).map_domain(prime_field(7))
+    got = hfraction_of_quadratic(gf7, 4000)
+    monkeypatch.setattr(hfrac, "alg_step", reference_alg_step)
+    assert hfraction_of_quadratic(gf7, 4000) == got
 
 
 # --- full expansion ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dual-route determinant checks, closed-form reconstructions, mod-p runs."""
 
+import hashlib
 import math
 import random
 import time
@@ -802,6 +803,14 @@ def test_scan_json_shape():
 def test_run_suite_all_small():
     results = run_suite("all", [1, 3])
     assert results and all(r.passed for r in results)
+
+
+def test_suite_verdicts_match_the_pinned_digest():
+    results = run_suite("all", range(1, 11))
+    tuples = [(r.name, r.passed, r.counterexample, r.detail) for r in results]
+    assert len(tuples) == goldens.SUITE_ALL_1_10_COUNT
+    digest = hashlib.sha256(repr(tuples).encode()).hexdigest()
+    assert digest == goldens.SUITE_ALL_1_10_SHA256
 
 
 def test_run_suite_rejects_unknown_names():
