@@ -335,7 +335,8 @@ class Poly:
 
     @staticmethod
     def _reduced(dom: Domain, out: list) -> "Poly":
-        """Poly of operator results: reduce each once, strip trailing zeros."""
+        """Poly of operator results: reduce each once (only where the domain
+        reduces), strip trailing zeros."""
         if dom.reduces:
             out = [dom.reduce(c) for c in out]
         while out and not out[-1]:
@@ -633,7 +634,8 @@ class Series:
 
     @staticmethod
     def _reduced(dom: Domain, out) -> "Series":
-        """Series of operator results, each reduced once."""
+        """Series of operator results, each reduced once (only where the
+        domain reduces)."""
         if dom.reduces:
             out = [dom.reduce(c) for c in out]
         return Series(dom, tuple(out), normalized=True)

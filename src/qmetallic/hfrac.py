@@ -84,13 +84,13 @@ def alg_step(model: Model) -> AlgStepResult:
     d = list(bc[:k + 2]) + [zero] * (k + 2 - len(bc))
     if len(cc) > 1:
         d[k + 1] -= a * cc[1]
-    lower = [(i, inv_a * u) for i, u in enumerate(ac[k + 1:2 * k + 2], 1) if u]
+    u_terms = [(i, inv_a * u) for i, u in enumerate(ac[k + 1:2 * k + 2], 1) if u]
     for m in range(k + 2):
         if dom.reduces:
             d[m] = dom.reduce(d[m])
         dm = d[m]
         if dm:
-            for i, u in lower:
+            for i, u in u_terms:
                 if m + i > k + 1:
                     break
                 d[m + i] -= u * dm
