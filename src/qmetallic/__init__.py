@@ -47,8 +47,6 @@ from .verify import (
     HankelReport,
     ModpReport,
     ScanReport,
-    hankel_bruteforce,
-    hankel_bruteforce_values,
     hankel_formula_values,
     hankel_sequence,
     check_value_set_and_periodicity,
@@ -71,6 +69,11 @@ from .verify import (
     baseline_catalan_motzkin,
     run_suite,
     SUITES,
+)
+from .oracle import (
+    hankel_bruteforce,
+    hankel_bruteforce_values,
+    hankel_window,
 )
 from .qseries import (
     q_integer,

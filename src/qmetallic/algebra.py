@@ -5,10 +5,15 @@ truncated power series and fraction-free determinants. Everything here is
 exact; no floating point anywhere.
 
 Coefficients are plain Python values combined with plain operators
-(`+ - * **`, truthiness for zero tests). ZZ and QQ need nothing more
-and never call `Domain.reduce`; GF(p) arithmetic runs on unreduced ints
-and `Domain.reduce` brings each output coefficient back into range(p)
-once (`Domain.reduces` tells the two cases apart).
+(`+ - * **`, truthiness for zero tests). GF(p) arithmetic runs on
+unreduced ints and `Domain.reduce` brings each output coefficient back
+into range(p) once; over ZZ and QQ it is the identity. The paths that
+test `Domain.reduces` first skip it there: the `Poly` and `Series`
+operators and `hfrac.alg_step`. The others still call it on every ring:
+`Poly.divrem`, `Series.invert`, the determinant kernel of QQ and
+GF(p) (`_bareiss_generic`), `qseries.series_of_model`,
+`hfrac.hankel_values_from_hfraction`, the `cfrac` dictionary and
+`cfrac.HFTerm.to_json_dict`.
 """
 
 from __future__ import annotations

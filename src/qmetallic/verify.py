@@ -1,8 +1,8 @@
-"""Hankel determinant oracles and mechanical checkers.
+"""Mechanical checkers of the Hankel determinants.
 
-Two independent routes to the determinant family of a q-metallic series:
-brute force (build the matrix of coefficients and read every leading
-minor off one fraction-free elimination) and the product formula read off the periodic Hankel
+The determinants come by two independent routes: brute force (the
+leading minors of the coefficient matrix, from `oracle`, which never
+reads the fraction) and the product formula read off the periodic Hankel
 fraction. Everything else is cross-examination: value-set and
 antiperiodicity checks, the three-term Gale-Robinson recurrence, the
 contiguity identity linking consecutive coefficient shifts, closed-form
@@ -17,17 +17,7 @@ the first counterexample, so a failing run is directly diagnosable.
 
 from __future__ import annotations
 
-from .algebra import (
-    Poly,
-    PrecisionError,
-    Record,
-    Series,
-    ZZ,
-    det_fraction_free,
-    is_prime,
-    leading_minors,
-    prime_field,
-)
+from .algebra import Poly, Record, ZZ, is_prime, prime_field
 from .hfrac import (
     expected_hfraction,
     hankel_values_from_hfraction,
@@ -37,7 +27,10 @@ from .hfrac import (
     shifted_model_chain,
     support_profile,
 )
-from .qseries import catalan_series, metallic_model, metallic_series, motzkin_series
+# hankel_bruteforce is bound here too, unused, so that the oracle's names
+# stay reachable from `verify`, where callers and bench/tracer.py look
+from .oracle import hankel_bruteforce, hankel_bruteforce_values, hankel_window
+from .qseries import catalan_series, metallic_model, motzkin_series
 
 HANKEL_SOURCES = ("formula", "brute_force", "both")
 SUITES = ("thmA", "thmB", "thmC", "thmD", "thm51", "symmetries", "baselines", "all")
@@ -159,47 +152,7 @@ class ScanReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-def hankel_bruteforce(F: Series, ell: int, j: int):
-    """Determinant of the j x j matrix (f_{a+b+ell}) of series
-    coefficients, computed fraction-free. j = 0 gives 1. Requires
-    precision at least ell + 2j - 1."""
-    if ell < 0 or j < 0:
-        raise ValueError("shift and size must be >= 0")
-    dom = F.dom
-    if j == 0:
-        return dom.from_int(1)
-    needed = ell + 2 * j - 1
-    if F.prec < needed:
-        raise PrecisionError(
-            f"Hankel determinant of size {j} at shift {ell} needs series "
-            f"precision >= {needed}, got {F.prec}"
-        )
-    coeffs = F.coeffs
-    rows = [[coeffs[a + b + ell] for b in range(j)] for a in range(j)]
-    return det_fraction_free(rows, dom)
-
-
-def hankel_bruteforce_values(n: int, ell: int, count: int) -> list:
-    """First count Hankel determinants of the ell-fold shift, from one
-    fraction-free elimination."""
-    return _bruteforce_window(metallic_series(n, ell + 2 * count), ell, count)
-
-
-def _bruteforce_window(F: Series, ell: int, count: int) -> list:
-    """[hankel_bruteforce(F, ell, j) for j in range(count)], read off the
-    leading minors of the single (count-1) x (count-1) matrix (f_{a+b+ell})."""
-    size = max(count - 1, 0)
-    if size and F.prec < ell + 2 * size - 1:
-        raise PrecisionError(
-            f"Hankel determinants up to size {size} at shift {ell} need "
-            f"series precision >= {ell + 2 * size - 1}, got {F.prec}"
-        )
-    coeffs = F.coeffs
-    rows = [coeffs[ell + a:ell + a + size] for a in range(size)]
-    return leading_minors(rows)[:count]
+# Determinant windows by route
 
 
 def hankel_formula_values(n: int, ell: int, count: int) -> list:
@@ -759,87 +712,46 @@ def conjecture_scan(n: int, ell: int, horizon: int) -> ScanReport:
 def baseline_catalan_motzkin() -> list:
     """Pin the brute-force oracle to classical Hankel evaluations of the
     Catalan and Motzkin series."""
-    out = []
-    cat = catalan_series(30)
-    out.append(
-        _compare_lists(
-            "catalan_shift0_all_ones", [1] * 11, _bruteforce_window(cat, 0, 11),
-            detail="shift 0",
-        )
-    )
-    out.append(
-        _compare_lists(
-            "catalan_shift1_all_ones", [1] * 11, _bruteforce_window(cat, 1, 11),
-            detail="shift 1",
-        )
-    )
-    out.append(
-        _compare_lists(
-            "catalan_shift2_linear",
-            [j + 1 for j in range(11)],
-            _bruteforce_window(cat, 2, 11),
-            detail="shift 2",
-        )
-    )
-
-    def catalan_product(ell, j):
-        num, den = 1, 1
-        for a in range(1, ell):
-            for b in range(a, ell):
-                num *= 2 * j + a + b
-                den *= a + b
-        assert num % den == 0
-        return num // den
-
-    out.append(
-        _compare_lists(
-            "catalan_shift3_product_formula",
-            [catalan_product(3, j) for j in range(9)],
-            _bruteforce_window(cat, 3, 9),
-            detail="shift 3",
-        )
-    )
-
-    mot = motzkin_series(30)
-    out.append(
-        _compare_lists(
-            "motzkin_shift0_all_ones", [1] * 11, _bruteforce_window(mot, 0, 11),
-            detail="shift 0",
-        )
-    )
+    cat, mot = catalan_series(30), motzkin_series(30)
+    mot1 = hankel_window(mot, 1, 13)
     pattern = [1, 1, 0, -1, -1, 0]
-    mot1 = _bruteforce_window(mot, 1, 13)
-    out.append(
-        _compare_lists(
-            "motzkin_shift1_six_periodic",
-            [pattern[j % 6] for j in range(13)],
-            mot1,
-            detail="shift 1",
-        )
-    )
-    somos = [mot1[j + 2] * mot1[j] - (mot1[j + 1] ** 2 - 1) for j in range(11)]
-    out.append(
-        _compare_lists(
-            "motzkin_shift1_somos_residual", [0] * 11, somos, detail="shift 1"
-        )
-    )
-    out.append(
-        _compare_lists(
+    table = (  # name, expected, got, shift
+        ("catalan_shift0_all_ones", [1] * 11, hankel_window(cat, 0, 11), 0),
+        ("catalan_shift1_all_ones", [1] * 11, hankel_window(cat, 1, 11), 1),
+        ("catalan_shift2_linear", [j + 1 for j in range(11)], hankel_window(cat, 2, 11), 2),
+        # the product over 1 <= a <= b < 3 of (2j + a + b) / (a + b)
+        (
+            "catalan_shift3_product_formula",
+            [(2 * j + 2) * (2 * j + 3) * (2 * j + 4) // 24 for j in range(9)],
+            hankel_window(cat, 3, 9),
+            3,
+        ),
+        ("motzkin_shift0_all_ones", [1] * 11, hankel_window(mot, 0, 11), 0),
+        ("motzkin_shift1_six_periodic", [pattern[j % 6] for j in range(13)], mot1, 1),
+        # the one derived check: the shift-1 window obeys D_{j+2} D_j = D_{j+1}^2 - 1
+        (
+            "motzkin_shift1_somos_residual",
+            [0] * 11,
+            [mot1[j + 2] * mot1[j] - (mot1[j + 1] ** 2 - 1) for j in range(11)],
+            1,
+        ),
+        (
             "motzkin_shift2_prefix",
             [1, 2, 2, 3, 4, 4, 5, 6, 6, 7, 8, 8],
-            _bruteforce_window(mot, 2, 12),
-            detail="shift 2",
-        )
-    )
-    out.append(
-        _compare_lists(
+            hankel_window(mot, 2, 12),
+            2,
+        ),
+        (
             "motzkin_shift3_prefix",
             [1, 4, 3, -6, -16, -10, 15, 36, 21, -28, -64, -36, 45],
-            _bruteforce_window(mot, 3, 13),
-            detail="shift 3",
-        )
+            hankel_window(mot, 3, 13),
+            3,
+        ),
     )
-    return out
+    return [
+        _compare_lists(name, want, got, detail=f"shift {ell}")
+        for name, want, got, ell in table
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from qmetallic import (
     PeriodicHFraction,
     Poly,
     PrecisionError,
+    QQ,
+    Series,
     SupportProfile,
     ZZ,
     baseline_catalan_motzkin,
@@ -35,6 +37,7 @@ from qmetallic import (
     hankel_bruteforce_values,
     hankel_formula_values,
     hankel_sequence,
+    hankel_window,
     hfraction_of_quadratic,
     is_prime,
     metallic_model,
@@ -90,6 +93,14 @@ def test_bruteforce_rejects_negative_arguments():
         hankel_bruteforce(f, -1, 2)
     with pytest.raises(ValueError):
         hankel_bruteforce(f, 1, -2)
+
+
+def test_window_refuses_a_series_off_the_integers():
+    # the one-pass kernel divides with //: over QQ it would floor, silently
+    f = Series(QQ, [QQ.from_int(c) / 2 for c in (1, 3, 2, 5, 7)], 5)
+    assert hankel_bruteforce(f, 0, 2) == QQ.from_int(-7) / 4
+    with pytest.raises(ValueError, match="over ZZ"):
+        hankel_window(f, 0, 3)
 
 
 def test_one_pass_window_matches_per_size_determinants():
