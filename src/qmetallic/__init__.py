@@ -5,87 +5,71 @@ quadratic power series into periodic Hankel continued fractions, evaluates
 Hankel determinants both by closed formula and by literal determinant
 computation, and cross-checks the structural identities relating them.
 All arithmetic is exact: integers, rationals, or prime fields. No floats.
+
+Importing the package runs none of its six submodules. Each one is put in
+`sys.modules` and on the package as a lazy module
+(`importlib.util.LazyLoader`), which runs on its first attribute read; a
+public name such as `qmetallic.run_suite` is read from its defining
+module on use. So the command line runs only what a subcommand needs:
+`--version` and a malformed command line run no submodule, `series` runs
+`algebra` and `qseries`, `hfrac` adds `cfrac` and `hfrac`, and every
+other subcommand runs all six.
 """
 
-from .algebra import (
-    ZZ,
-    QQ,
-    prime_field,
-    Poly,
-    Series,
-    det_fraction_free,
-    leading_minors,
-    ExactDivisionError,
-    PrecisionError,
-)
-from .cfrac import (
-    HFTerm,
-    PeriodicHFraction,
-    greedy_hfraction,
-    RegularCF,
-    artin_expand,
-    hf_to_artin,
-    artin_to_hf,
-)
-from .hfrac import (
-    AlgStepResult,
-    alg_step,
-    hfraction_of_quadratic,
-    expected_hfraction,
-    metallic_step_cap,
-    shift_model,
-    shifted_metallic_model,
-    shifted_model_chain,
-    truncate_hfraction_stream,
-    hfraction_of_shift,
-    SupportProfile,
-    support_profile,
-    hankel_values_from_hfraction,
-)
-from .verify import (
-    CheckResult,
-    HankelReport,
-    ModpReport,
-    ScanReport,
-    hankel_formula_values,
-    hankel_sequence,
-    check_value_set_and_periodicity,
-    gale_robinson_check,
-    check_contiguity,
-    check_hfraction_shape,
-    explicit_delta,
-    explicit_support_index,
-    explicit_delta_sequence,
-    check_explicit_reconstruction,
-    check_delta_symmetry,
-    support_membership,
-    check_support_membership,
-    support_sets,
-    check_profile_identities,
-    check_stream_symmetries,
-    is_prime,
-    modp_analysis,
-    conjecture_scan,
-    baseline_catalan_motzkin,
-    run_suite,
-    SUITES,
-)
-from .oracle import (
-    hankel_bruteforce,
-    hankel_bruteforce_values,
-    hankel_window,
-)
-from .qseries import (
-    q_integer,
-    angle_bracket,
-    Model,
-    metallic_model,
-    metallic_series,
-    series_of_model,
-    q_rational,
-    q_rational_pair,
-    catalan_series,
-    motzkin_series,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# the suite names `verify.run_suite` accepts; defined here, so that the
+# command-line parser can offer them without running `verify`
+SUITES = ("thmA", "thmB", "thmC", "thmD", "thm51", "symmetries", "baselines", "all")
+
+# public names by defining submodule
+_EXPORTS = {
+    "algebra": "ZZ QQ prime_field Poly Series det_fraction_free leading_minors "
+               "is_prime ExactDivisionError PrecisionError",
+    "cfrac": "HFTerm PeriodicHFraction greedy_hfraction RegularCF artin_expand "
+             "hf_to_artin artin_to_hf",
+    "hfrac": "AlgStepResult alg_step hfraction_of_quadratic expected_hfraction "
+             "metallic_step_cap shift_model shifted_metallic_model "
+             "shifted_model_chain truncate_hfraction_stream hfraction_of_shift "
+             "SupportProfile support_profile hankel_values_from_hfraction",
+    "oracle": "hankel_bruteforce hankel_bruteforce_values hankel_window",
+    "qseries": "q_integer angle_bracket Model metallic_model metallic_series "
+               "series_of_model q_rational q_rational_pair catalan_series "
+               "motzkin_series",
+    "verify": "CheckResult HankelReport ModpReport ScanReport "
+              "hankel_formula_values hankel_sequence "
+              "check_value_set_and_periodicity gale_robinson_check "
+              "check_contiguity check_hfraction_shape explicit_delta "
+              "explicit_support_index explicit_delta_sequence "
+              "check_explicit_reconstruction check_delta_symmetry "
+              "support_membership check_support_membership support_sets "
+              "check_profile_identities check_stream_symmetries modp_analysis "
+              "conjecture_scan baseline_catalan_motzkin run_suite",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = ["SUITES", *_EXPORTS, *_OWNER]
+
+
+def _lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy(name) for name in _EXPORTS})
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_OWNER[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

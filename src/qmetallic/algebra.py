@@ -761,11 +761,17 @@ def leading_minors(rows) -> list:
     needs no division. Its entries are computed as negated differences:
     a difference is allocated at the size of the product h*y, a negation
     at the size of its value. A row with s = 1 and f = 0 is unchanged.
+    Any entry that is not an int (a Fraction, say) is refused, since the
+    floor division would silently round it.
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("leading minors of a non-square matrix")
     m = [list(row) for row in rows]
+    for row in m:
+        if len(row) != n:
+            raise ValueError("leading minors of a non-square matrix")
+        if not {int}.issuperset(map(type, row)):
+            bad = next(x for x in row if type(x) is not int)
+            raise TypeError(f"leading minors need int entries, got {type(bad).__name__}")
     live = list(range(n))  # original index of each column not yet pivoted
     minors = [1]
     prev = 1

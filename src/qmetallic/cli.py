@@ -13,21 +13,12 @@ or inconclusive report, 1 failed check, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import __version__
-from .hfrac import hfraction_of_shift
-from .qseries import metallic_series
-from .verify import (
-    SUITES,
-    is_prime,
-    conjecture_scan,
-    hankel_sequence,
-    modp_analysis,
-    run_suite,
-)
+# the library modules are lazy (see the package docstring): each runs on
+# its first attribute read, so a subcommand runs only the ones it calls
+from . import SUITES, __version__, hfrac, qseries, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,7 +95,7 @@ def _cmd_series(args) -> tuple:
     prec = args.prec if args.prec is not None else _default_precision()
     if args.n < 1 or prec < 1:
         raise UsageError("series needs --n >= 1 and --prec >= 1")
-    f = metallic_series(args.n, prec)
+    f = qseries.metallic_series(args.n, prec)
     payload = {"n": args.n, "prec": prec, "coefficients": list(f.coeffs)}
     rows = [(args.n, j, c) for j, c in enumerate(f.coeffs)]
     return EXIT_OK, payload, ("n", "j", "coefficient"), rows, [str(f)]
@@ -119,7 +110,7 @@ def _cmd_hfrac(args) -> tuple:
             f"the fraction is available for --ell 0..{n + 1} (got {ell}); "
             "larger shifts have no known periodic form"
         )
-    hf = hfraction_of_shift(n, ell)
+    hf = hfrac.hfraction_of_shift(n, ell)
     offset = 1 + len(hf.preamble)
     payload = hf.to_json_dict()
     payload.update(n=n, ell=ell, period=len(hf.cycle), offset=offset)
@@ -157,7 +148,7 @@ def _cmd_hankel(args) -> tuple:
             f"--source {args.source} needs --ell <= {n + 1}; "
             "only brute force reaches larger shifts"
         )
-    report = hankel_sequence(n, ell, horizon, source)
+    report = verify.hankel_sequence(n, ell, horizon, source)
     code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
     rows = [(n, ell, j, v, source) for j, v in enumerate(report.values)]
     lines = [f"n={n} ell={ell} horizon={horizon} source={source}"]
@@ -180,7 +171,7 @@ def _check_line(c) -> str:
 
 def _cmd_verify(args) -> tuple:
     n_values = _parse_n_range(args.n)
-    checks = run_suite(args.suite, n_values)
+    checks = verify.run_suite(args.suite, n_values)
     if not checks:
         # thm51 and symmetries skip every n < 3
         raise UsageError(f"suite {args.suite} needs n >= 3, got --n {args.n}")
@@ -201,14 +192,14 @@ def _cmd_verify(args) -> tuple:
 
 def _cmd_modp(args) -> tuple:
     try:
-        prime = is_prime(args.p)
+        prime = verify.is_prime(args.p)
     except ValueError as e:
         raise UsageError(f"--p: {e}")
     if not prime:
         raise UsageError(f"--p must be prime, got {args.p}")
     if args.n < 1 or args.ell < 0 or args.max_steps < 1:
         raise UsageError("modp needs --n >= 1, --ell >= 0, --max-steps >= 1")
-    r = modp_analysis(args.n, args.ell, args.p, max_steps=args.max_steps)
+    r = verify.modp_analysis(args.n, args.ell, args.p, max_steps=args.max_steps)
     # inconclusive is exit 0; a failed comparison check is a real failure
     code = EXIT_OK if r.passed else EXIT_CHECK_FAILED
     header = ("n", "ell", "p", "conclusive",
@@ -249,7 +240,7 @@ def _cmd_scan(args) -> tuple:
     horizon = args.horizon if args.horizon is not None else 4 * n * (n + 1)
     if horizon < 1:
         raise UsageError("--horizon must be >= 1")
-    r = conjecture_scan(n, ell, horizon)
+    r = verify.conjecture_scan(n, ell, horizon)
     rows = [(n, ell, j, v, "brute_force") for j, v in enumerate(r.values)]
     lines = [
         f"n={n} ell={ell} horizon={horizon} (exploratory)",
@@ -336,6 +327,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
+        import json  # only JSON output needs it
+
         payload["command"] = args.command
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":

@@ -17,6 +17,7 @@ the first counterexample, so a failing run is directly diagnosable.
 
 from __future__ import annotations
 
+from . import SUITES
 from .algebra import Poly, Record, ZZ, is_prime, prime_field
 from .hfrac import (
     expected_hfraction,
@@ -33,7 +34,6 @@ from .oracle import hankel_bruteforce, hankel_bruteforce_values, hankel_window
 from .qseries import catalan_series, metallic_model, motzkin_series
 
 HANKEL_SOURCES = ("formula", "brute_force", "both")
-SUITES = ("thmA", "thmB", "thmC", "thmD", "thm51", "symmetries", "baselines", "all")
 
 
 # ---------------------------------------------------------------------------

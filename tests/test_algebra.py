@@ -357,6 +357,20 @@ def test_leading_minors_rejects_non_square_input():
         leading_minors([[1, 2], [3]])
 
 
+def test_leading_minors_refuses_entries_that_are_not_int():
+    from fractions import Fraction
+
+    # the update divides with //: this matrix gave the minors
+    # [1, 1/2, -1], where its determinant is -3/4
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError, match="Fraction"):
+        leading_minors([[half, 1], [1, half]])
+    with pytest.raises(TypeError, match="bool"):
+        leading_minors([[1, 0], [0, True]])
+    # det_fraction_free coerces to int before it calls the kernel
+    assert det_fraction_free([[Fraction(2), 1], [1, 1]], ZZ) == 1
+
+
 def test_determinant_over_rationals_and_prime_fields():
     from fractions import Fraction
 

@@ -207,7 +207,7 @@ def test_verify_rejects_backwards_range(capsys):
 
 def test_verify_reports_failures_with_exit_1(capsys, monkeypatch):
     stub = [CheckResult("stub_check", False, (0, 1, -1), "forced")]
-    monkeypatch.setattr(cli, "run_suite", lambda suite, ns: stub)
+    monkeypatch.setattr(verify, "run_suite", lambda suite, ns: stub)
     code, payload, _ = run_json(["verify", "--suite", "thmA", "--n", "3"], "verify", capsys)
     assert code == 1
     assert payload["pass"] is False
@@ -370,13 +370,79 @@ def test_console_script_runs():
     assert r.returncode == 0 and "1 + q^2" in r.stdout
 
 
+LIBRARY = {"algebra", "cfrac", "hfrac", "oracle", "qseries", "verify"}
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up time in every CLI process; -S keeps site
-    # packages from loading them first
+# one command line in a fresh interpreter; the last line of stderr lists
+# the modules that ran. A lazy library module sits in sys.modules before
+# it runs, as an instance of a ModuleType subclass; running it makes it a
+# plain module.
+CHILD = """
+import sys, types
+import qmetallic.cli
+try:
+    qmetallic.cli.main(sys.argv[1:])
+except SystemExit:  # --version and argparse's usage errors
+    pass
+print(sorted(name for name, m in sys.modules.items()
+             if type(m) is types.ModuleType), file=sys.stderr)
+"""
+
+
+def modules_run_by(argv) -> tuple:
+    """(the library modules that ran, every module that ran) for one
+    command line; -S keeps site packages from loading anything first."""
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", CHILD, *argv],
+        env=SRC_ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    ran = set(ast.literal_eval(r.stderr.splitlines()[-1]))
+    return {m for m in LIBRARY if f"qmetallic.{m}" in ran}, ran
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # both cost start-up time in every CLI process; the request runs every
+    # library module, so that none of them can load either unseen
+    argv = ["verify", "--suite", "thm51", "--n", "3", "--out", str(tmp_path / "out")]
+    library, ran = modules_run_by(argv)
+    assert library == LIBRARY
+    assert {"dataclasses", "inspect"}.isdisjoint(ran)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--version"], set()),
+    (["series"], set()),  # argparse's usage error
+    (["verify", "--suite", "nope"], set()),  # the suite names are not in verify
+    (["series", "--n", "3"], {"algebra", "qseries"}),
+    (["hfrac", "--n", "3"], {"algebra", "cfrac", "hfrac", "qseries"}),
+    (["scan", "--n", "1"], LIBRARY),
+], ids=["version", "usage-error", "unknown-suite", "series", "hfrac", "scan"])
+def test_each_request_runs_only_the_modules_it_needs(argv, expected):
+    library, ran = modules_run_by(argv)
+    assert library == expected
+    assert "json" not in ran  # only JSON output needs it
+
+
+TRACER_LAYERS = [
+    "verify.brute", "algebra.det", "hfrac.expand", "hfrac.alg_step",
+    "hfrac.template", "hfrac.formula", "cfrac", "verify.checks",
+    "qseries.series", "verify.modp", "verify.is_prime",
+]
+
+
+def test_bench_tracer_still_wraps_every_layer():
+    # bench/tracer.py looks each layer up in sys.modules right after
+    # `import qmetallic.cli`; a library module that is not there by then
+    # loses its layers, and the traced run its metrics
     code = (
-        "import sys, qmetallic.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import importlib.util, sys; "
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(ROOT / 'bench' / 'tracer.py')!r}); "
+        "tracer = importlib.util.module_from_spec(spec); "
+        "spec.loader.exec_module(tracer); "
+        "import qmetallic.cli; "
+        "print(tracer.install(tracer.Recorder('t')))"
     )
     r = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -385,7 +451,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         text=True,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert ast.literal_eval(r.stdout) == TRACER_LAYERS
+
 
 def test_missing_required_argument_exits_2():
     r = subprocess.run(

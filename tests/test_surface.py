@@ -87,3 +87,8 @@ def test_star_import_binds_every_public_name():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == sorted(PUBLIC_NAMES)
+
+
+def test_dir_lists_every_public_name():
+    # the package serves most of them from its __getattr__, on use
+    assert set(PUBLIC_NAMES) <= set(dir(qmetallic))
