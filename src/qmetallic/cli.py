@@ -18,7 +18,7 @@ import sys
 
 # the library modules are lazy (see the package docstring): each runs on
 # its first attribute read, so a subcommand runs only the ones it calls
-from . import SUITES, __version__, hfrac, qseries, verify
+from . import SUITES, __version__, algebra, hfrac, qseries, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -192,7 +192,7 @@ def _cmd_verify(args) -> tuple:
 
 def _cmd_modp(args) -> tuple:
     try:
-        prime = verify.is_prime(args.p)
+        prime = algebra.is_prime(args.p)
     except ValueError as e:
         raise UsageError(f"--p: {e}")
     if not prime:

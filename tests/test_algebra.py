@@ -313,9 +313,9 @@ def test_leading_minors_match_row_pivoting_bareiss_at_every_size(rows):
 
 
 def reference_leading_minors(rows) -> list:
-    """The elimination of leading_minors with every update divided
-    exactly by the previous pivot: the reference for its unit-pivot
-    branch."""
+    """The right-looking elimination of leading_minors with every update
+    divided exactly by the previous pivot: the reference for both of its
+    phases, the left-looking unit one and the Bareiss one."""
     n = len(rows)
     m = [list(row) for row in rows]
     live = list(range(n))
@@ -343,13 +343,93 @@ def reference_leading_minors(rows) -> list:
 
 
 def test_leading_minors_match_the_dividing_kernel_on_every_oracle_window():
-    # the windows that hankel, scan and thm51 hand to the oracle
-    for n in range(1, 6):
+    # the windows that hankel, scan and thm51 hand to the oracle, and the
+    # order-167 ones of hankel --n 6 (all pivots units) and scan --n 6
+    # (the first non-unit pivot at row 5)
+    windows = [(n, ell) for n in range(1, 6) for ell in range(n + 4)] + [(6, 0), (6, 8)]
+    for n, ell in windows:
         count = 4 * n * (n + 1)
-        for ell in range(n + 4):
-            f = metallic_series(n, ell + 2 * count).coeffs
-            rows = [f[ell + a:ell + a + count - 1] for a in range(count - 1)]
-            assert leading_minors(rows) == reference_leading_minors(rows), (n, ell)
+        f = metallic_series(n, ell + 2 * count).coeffs
+        rows = [f[ell + a:ell + a + count - 1] for a in range(count - 1)]
+        assert leading_minors(rows) == reference_leading_minors(rows), (n, ell)
+
+
+# Diagonal blocks of the middle factor M of sandwich(). Each pivots on
+# its own columns, with units in the unit blocks; the permutation blocks
+# make the pivots skip columns, so minors vanish until the skipped column
+# is pivoted.
+UNIT_BLOCKS = ([[1]], [[-1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]],
+               [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, -1], [1, 0, 0]])
+# Blocks whose first pivot is not a unit. The 2 x 2 ones of determinant
+# +-1 bring the Bareiss pivot back to a unit; the last has no second
+# pivot, since its second row is twice its first.
+NONUNIT_BLOCKS = ([[2]], [[-3]], [[2, 1], [1, 1]], [[-2, 1], [3, -2]], [[2, 1], [1, 0]],
+                  [[2, 1], [4, 2]])
+# a row of M without a pivot: that row of L*M*U depends on those above it
+DEPENDENT_BLOCK = [[0]]
+
+
+def sandwich(draw, blocks):
+    """L*M*U for drawn unit lower and unit upper triangular integer L and
+    U and the block-diagonal M of blocks. Its leading minors are those of
+    M, and eliminating its rows in order meets the pivots of M's blocks
+    in turn: L is undone by the row operations, and U keeps each row's
+    leftmost nonzero column and value. Blocks [1] pad M to order 8, below
+    which leading_minors starts with the Bareiss phase."""
+    blocks = blocks + [[[1]]] * (8 - sum(map(len, blocks)))
+    n = sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for a, row in enumerate(block):
+            m[at + a][at:at + len(row)] = row
+        at += len(block)
+    rng = draw(st.randoms(use_true_random=False))
+    entries = (0, 0, 1, -1, 2)
+    lower = [[rng.choice(entries) for _ in range(a)] + [1] + [0] * (n - a - 1)
+             for a in range(n)]
+    upper = [[0] * a + [1] + [rng.choice(entries) for _ in range(n - a - 1)]
+             for a in range(n)]
+    mu = [[sum(x * upper[k][b] for k, x in enumerate(row)) for b in range(n)] for row in m]
+    return [[sum(x * mu[k][b] for k, x in enumerate(row)) for b in range(n)] for row in lower]
+
+
+@st.composite
+def unit_pivot_matrices(draw):
+    """Matrices whose pivots are all +-1, the left-looking phase alone,
+    with skipped columns and rows that depend on the rows above."""
+    blocks = st.sampled_from(UNIT_BLOCKS + (DEPENDENT_BLOCK,))
+    return sandwich(draw, draw(st.lists(blocks, max_size=5)))
+
+
+@st.composite
+def handoff_matrices(draw):
+    """Matrices whose first non-unit pivot comes after a drawn number of
+    unit ones, where the Bareiss phase takes over, followed by pivots of
+    every kind."""
+    head = draw(st.lists(st.sampled_from(UNIT_BLOCKS), max_size=4))
+    first = draw(st.sampled_from(NONUNIT_BLOCKS))
+    any_block = st.sampled_from(UNIT_BLOCKS + NONUNIT_BLOCKS + (DEPENDENT_BLOCK,))
+    return sandwich(draw, head + [first] + draw(st.lists(any_block, max_size=3)))
+
+
+def assert_minors_match_the_references(rows):
+    minors = leading_minors(rows)
+    assert minors == reference_leading_minors(rows)
+    for k, minor in enumerate(minors):
+        assert minor == det_fraction_free([r[:k] for r in rows[:k]], QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_pivot_matrices())
+def test_left_looking_phase_matches_the_references(rows):
+    assert_minors_match_the_references(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(handoff_matrices())
+def test_handoff_to_bareiss_at_every_row_matches_the_references(rows):
+    assert_minors_match_the_references(rows)
 
 
 def test_leading_minors_rejects_non_square_input():

@@ -8,7 +8,6 @@ import pathlib
 import shutil
 import subprocess
 import sys
-import tomllib
 
 import jsonschema
 import pytest
@@ -355,6 +354,8 @@ def console_script():
     installed = shutil.which("qmetallic")
     if installed:
         return [installed]
+    # tomllib is 3.11+; pyproject.toml admits 3.10
+    tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
     module, func = meta["project"]["scripts"]["qmetallic"].split(":")
     return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
@@ -418,7 +419,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     (["series", "--n", "3"], {"algebra", "qseries"}),
     (["hfrac", "--n", "3"], {"algebra", "cfrac", "hfrac", "qseries"}),
     (["scan", "--n", "1"], LIBRARY),
-], ids=["version", "usage-error", "unknown-suite", "series", "hfrac", "scan"])
+    (["modp", "--n", "3", "--p", "4"], {"algebra"}),  # a usage error
+], ids=["version", "usage-error", "unknown-suite", "series", "hfrac", "scan", "modp-not-prime"])
 def test_each_request_runs_only_the_modules_it_needs(argv, expected):
     library, ran = modules_run_by(argv)
     assert library == expected
