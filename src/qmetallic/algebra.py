@@ -768,7 +768,7 @@ def leading_minors(rows) -> list:
     every update only adds integer products, and each entry is one dot
     product, run in C by sum(map(mul, ...)) over per-column lists of the
     U_k, each entry stored once. The Bareiss pivot is the product det of
-    the plain pivots, +-1. A matrix of order below 8 skips this phase.
+    the plain pivots, +-1.
 
     At the first pivot that is not a unit, its row and the rows below are
     brought up to date row by row, subtracting c_k U_k for each unit step
@@ -821,32 +821,28 @@ def leading_minors(rows) -> list:
         return out
 
     i = 0  # the first row of the Bareiss phase
-    # below order 8 the calls of the dot products cost more than they
-    # save (order 7: 10-16 % slower), so small matrices start with Bareiss
-    if n >= 8:
-        for i, h in enumerate(rows):
-            row = reduced(h)
-            pos = next((p for p, x in enumerate(row) if x), None)
-            if pos is None:
-                return minors + [0] * (n - i)
-            p = row[pos]
-            if p != 1 and p != -1:
-                break
-            det *= p
-            for col, x in zip(cols, row):
-                col.append(x * p)
-            steps.append((live[pos], cols[pos]))
-            del live[pos], cols[pos]
-            # Each of the pos live columns left of the pivot is pivoted by
-            # a later row. When d_k != 0 that row is above row k, so the sum
-            # over rows < k counts the inversions of their pivot columns.
-            inversions += pos
-            minors.append(0 if live and live[0] <= i else (-det if inversions & 1 else det))
-        else:
-            return minors
+    for i, h in enumerate(rows):
+        row = reduced(h)
+        pos = next((p for p, x in enumerate(row) if x), None)
+        if pos is None:
+            return minors + [0] * (n - i)
+        p = row[pos]
+        if p != 1 and p != -1:
+            break
+        det *= p
+        for col, x in zip(cols, row):
+            col.append(x * p)
+        steps.append((live[pos], cols[pos]))
+        del live[pos], cols[pos]
+        # Each of the pos live columns left of the pivot is pivoted by
+        # a later row. When d_k != 0 that row is above row k, so the sum
+        # over rows < k counts the inversions of their pivot columns.
+        inversions += pos
+        minors.append(0 if live and live[0] <= i else (-det if inversions & 1 else det))
+    else:
+        return minors
     urows = list(zip(*cols))  # the live entries of each U_k
-    # before any unit step, the rows are their own reduced rows
-    m = list(map(updated if i else list, rows[i:]))
+    m = list(map(updated, rows[i:]))
     prev = det
     for k, row in enumerate(m, i):
         pos = next((p for p, x in enumerate(row) if x), None)

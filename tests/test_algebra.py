@@ -374,9 +374,7 @@ def sandwich(draw, blocks):
     U and the block-diagonal M of blocks. Its leading minors are those of
     M, and eliminating its rows in order meets the pivots of M's blocks
     in turn: L is undone by the row operations, and U keeps each row's
-    leftmost nonzero column and value. Blocks [1] pad M to order 8, below
-    which leading_minors starts with the Bareiss phase."""
-    blocks = blocks + [[[1]]] * (8 - sum(map(len, blocks)))
+    leftmost nonzero column and value."""
     n = sum(map(len, blocks))
     m = [[0] * n for _ in range(n)]
     at = 0
