@@ -35,7 +35,7 @@ _EXPORTS = {
              "metallic_step_cap shift_model shifted_metallic_model "
              "shifted_model_chain truncate_hfraction_stream hfraction_of_shift "
              "SupportProfile support_profile hankel_values_from_hfraction",
-    "oracle": "hankel_bruteforce hankel_bruteforce_values hankel_window",
+    "oracle": "hankel_bruteforce_values hankel_window",
     "qseries": "q_integer angle_bracket Model metallic_model metallic_series "
                "series_of_model q_rational q_rational_pair catalan_series "
                "motzkin_series",

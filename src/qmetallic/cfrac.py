@@ -17,8 +17,6 @@ no convergence test is needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Domain, Poly, PrecisionError, Record, Series
 
 
@@ -47,10 +45,11 @@ def _levels_value(levels, dom: Domain, prec: int) -> Series:
 
 
 def _scalar_json(x):
-    # integers stay integers; anything fancier serializes as text
+    # integers stay integers (a Fraction too, when its denominator is 1);
+    # anything fancier serializes as text
     if isinstance(x, int):
         return x
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if getattr(x, "denominator", None) == 1:
         return int(x)
     return str(x)
 

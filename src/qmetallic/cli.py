@@ -153,9 +153,17 @@ def _cmd_hankel(args) -> tuple:
     rows = [(n, ell, j, v, source) for j, v in enumerate(report.values)]
     lines = [f"n={n} ell={ell} horizon={horizon} source={source}"]
     lines += [f"{j:4d} {v}" for j, v in enumerate(report.values)]
+    rows += _failed_check_rows(report.checks)
     lines += [_check_line(c) for c in report.checks]
     header = ("n", "ell", "j", "delta", "source")
     return code, report.to_json_dict(), header, rows, lines
+
+
+def _failed_check_rows(checks) -> list:
+    # a CSV table has no column for check results, so it ends with the
+    # text line of each failed check, as a row of one cell; a passing
+    # table is unchanged
+    return [(_check_line(c),) for c in checks if not c.passed]
 
 
 def _check_line(c) -> str:
@@ -209,7 +217,7 @@ def _cmd_modp(args) -> tuple:
         r.n, r.ell, r.p, "yes" if r.conclusive else "no",
         r.hfraction_preperiod, r.hfraction_period,
         r.hankel_preperiod, r.hankel_period,
-    )]
+    )] + _failed_check_rows(r.checks)
     lines = [f"n={r.n} ell={r.ell} p={r.p}"]
     if not r.conclusive:
         lines.append(f"inconclusive: no cycle within {r.max_steps} steps")

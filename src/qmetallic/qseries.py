@@ -12,7 +12,6 @@ polynomial coefficients; `metallic_model` builds that equation and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .algebra import Domain, ZZ, Poly, Record, Series
@@ -146,8 +145,9 @@ def metallic_series(n: int, prec: int, dom: Domain = ZZ) -> Series:
     return series_of_model(metallic_model(n, dom), prec)
 
 
-def continued_fraction_digits(x: Fraction) -> list:
-    """Regular continued fraction digits [a0; a1, a2, ...] of x >= 0."""
+def continued_fraction_digits(x) -> list:
+    """Regular continued fraction digits [a0; a1, a2, ...] of a rational
+    x >= 0 (an int or a Fraction)."""
     if x < 0:
         raise ValueError("negative values have no deformation here")
     digits = []
@@ -167,7 +167,9 @@ def q_rational_pair(x, dom: Domain = ZZ):
     Built bottom-up from the continued fraction of x, alternating between
     deformations in q (even levels) and in 1/q (odd levels).
     """
-    x = Fraction(x)
+    import fractions  # only q-rationals need it
+
+    x = fractions.Fraction(x)
     digits = continued_fraction_digits(x)
     m = len(digits) - 1
     last = digits[m]

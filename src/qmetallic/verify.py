@@ -28,9 +28,7 @@ from .hfrac import (
     shifted_model_chain,
     support_profile,
 )
-# hankel_bruteforce is bound here too, unused, so that the oracle's names
-# stay reachable from `verify`, where callers and bench/tracer.py look
-from .oracle import hankel_bruteforce, hankel_bruteforce_values, hankel_window
+from .oracle import hankel_bruteforce_values, hankel_window
 from .qseries import catalan_series, metallic_model, motzkin_series
 
 HANKEL_SOURCES = ("formula", "brute_force", "both")

@@ -404,12 +404,39 @@ def modules_run_by(argv) -> tuple:
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
-    # both cost start-up time in every CLI process; the request runs every
-    # library module, so that none of them can load either unseen
+    # each costs start-up time in every CLI process; the request runs every
+    # library module, so that none of them can load one unseen. Every
+    # command line stays in ZZ and GF(p), so none needs `fractions` (which
+    # loads `decimal`): only the QQ methods import it
     argv = ["verify", "--suite", "thm51", "--n", "3", "--out", str(tmp_path / "out")]
     library, ran = modules_run_by(argv)
     assert library == LIBRARY
-    assert {"dataclasses", "inspect"}.isdisjoint(ran)
+    assert {"dataclasses", "inspect", "fractions", "decimal"}.isdisjoint(ran)
+
+
+def test_a_qq_expansion_loads_fractions_on_first_use():
+    # the ZZ step meets a non-unit on this model and falls back to QQ,
+    # whose methods import `fractions` themselves; the digest pins the
+    # fraction's JSON and its rendered levels, where ints, Fractions with
+    # denominator 1 and proper Fractions each keep their own encoding
+    code = """
+import hashlib, json, sys
+from qmetallic import hfrac
+model = hfrac.shifted_model_chain(3, 5)
+before = "fractions" in sys.modules
+hf = hfrac.hfraction_of_quadratic(model)
+levels = [list(map(str, hf.rendered(j))) for j in range(hf.n_stored_terms())]
+text = json.dumps([hf.to_json_dict(), levels], sort_keys=True)
+print(before, "fractions" in sys.modules, hf.dom, hashlib.sha256(text.encode()).hexdigest())
+"""
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=SRC_ENV, capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [
+        "False", "True", "QQ",
+        "136bbfcb7baf1e79e8111aea56d3e25061506da4af8dc1a7220cc8055a6a4c49",
+    ]
 
 
 @pytest.mark.parametrize("argv, expected", [

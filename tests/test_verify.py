@@ -33,7 +33,6 @@ from qmetallic import (
     explicit_support_index,
     expected_hfraction,
     gale_robinson_check,
-    hankel_bruteforce,
     hankel_bruteforce_values,
     hankel_formula_values,
     hankel_sequence,
@@ -61,55 +60,96 @@ import goldens
 
 
 def test_bruteforce_size_zero_is_one():
-    assert hankel_bruteforce(catalan_series(4), 0, 0) == 1
+    assert hankel_window(catalan_series(4), 0, 1) == [1]
 
 
 def test_bruteforce_catalan_shift_two_counts_up():
     f = catalan_series(12)
-    assert [hankel_bruteforce(f, 2, j) for j in range(4)] == [1, 2, 3, 4]
+    assert hankel_window(f, 2, 4) == [1, 2, 3, 4]
 
 
 def test_bruteforce_motzkin_shift_one_window():
     f = motzkin_series(16)
-    got = [hankel_bruteforce(f, 1, j) for j in range(8)]
-    assert got == [1, 1, 0, -1, -1, 0, 1, 1]
+    assert hankel_window(f, 1, 8) == [1, 1, 0, -1, -1, 0, 1, 1]
 
 
 def test_bruteforce_golden_shift_three_row():
     f = metallic_series(1, 24)
-    got = [hankel_bruteforce(f, 3, j) for j in range(8)]
-    assert got == goldens.SHIFTED_ROWS_N1[3]
+    assert hankel_window(f, 3, 8) == goldens.SHIFTED_ROWS_N1[3]
 
 
 def test_bruteforce_reports_needed_precision():
     f = catalan_series(5)
     with pytest.raises(PrecisionError, match=">= 7"):
-        hankel_bruteforce(f, 2, 3)
+        hankel_window(f, 2, 4)
 
 
 def test_bruteforce_rejects_negative_arguments():
-    f = catalan_series(6)
-    with pytest.raises(ValueError):
-        hankel_bruteforce(f, -1, 2)
-    with pytest.raises(ValueError):
-        hankel_bruteforce(f, 1, -2)
+    # a negative shift or count would wrap the coefficient slices around:
+    # (-10, 4) read the window at shift +10, and (1, -2) gave []
+    for F, ell, count in (
+        (catalan_series(6), -1, 2),
+        (catalan_series(6), 1, -2),
+        (catalan_series(20), -10, 4),
+    ):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            hankel_window(F, ell, count)
 
 
 def test_window_refuses_a_series_off_the_integers():
     # the one-pass kernel divides with //: over QQ it would floor, silently
     f = Series(QQ, [QQ.from_int(c) / 2 for c in (1, 3, 2, 5, 7)], 5)
-    assert hankel_bruteforce(f, 0, 2) == QQ.from_int(-7) / 4
     with pytest.raises(ValueError, match="over ZZ"):
         hankel_window(f, 0, 3)
 
 
+P61 = 2**61 - 1
+
+
+def leading_minors_mod_p(rows, p=P61) -> list:
+    """[1, d_1, ..., d_n] mod p, d_k the top-left k x k minor of a square
+    integer matrix, by Gaussian elimination over GF(p); an independent
+    reference for the oracle, sharing no code with `algebra`.
+
+    Each row is reduced by the normalised pivot rows above it and pivots
+    on its leftmost nonzero column, as in `leading_minors`. Reduced row t
+    vanishes left of its pivot column c_t and at c_s for s < t, so d_k is
+    the signed product of the first k pivots when c_0..c_{k-1} are
+    0..k-1, and 0 otherwise; a row that vanishes ends every larger minor.
+    """
+    n = len(rows)
+    minors, units, cols = [1], [], []
+    det, inversions = 1, 0
+    for i, h in enumerate(rows):
+        r = [x % p for x in h]
+        for c, u in units:
+            f = r[c]
+            if f:
+                r = [(x - f * y) % p for x, y in zip(r, u)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
+            return minors + [0] * (n - i)
+        inv = pow(r[c], -1, p)
+        units.append((c, [x * inv % p for x in r]))
+        det = det * r[c] % p
+        inversions += sum(c < d for d in cols)
+        cols.append(c)
+        whole = max(cols) == i  # the first i+1 pivot columns are 0..i
+        minors.append((-det if inversions & 1 else det) % p if whole else 0)
+    return minors
+
+
 def test_one_pass_window_matches_per_size_determinants():
+    # every determinant of each window, mod 2^61-1, against the reference
+    # above applied to the Hankel matrix built here from the coefficients
     for n in range(1, 5):
         count = 4 * n * (n + 1)
         for ell in range(n + 4):
-            F = metallic_series(n, ell + 2 * count)
-            expected = [hankel_bruteforce(F, ell, j) for j in range(count)]
-            assert hankel_bruteforce_values(n, ell, count) == expected, (n, ell)
+            f = metallic_series(n, ell + 2 * count).coeffs
+            size = count - 1
+            rows = [[f[ell + a + b] for b in range(size)] for a in range(size)]
+            got = [v % P61 for v in hankel_bruteforce_values(n, ell, count)]
+            assert got == leading_minors_mod_p(rows), (n, ell)
 
 
 # --- the two value routes -------------------------------------------------
