@@ -203,8 +203,9 @@ class RationalDomain(Domain):
     """Elements are Fractions. The methods that make or recognise one
     import `fractions` (which loads `decimal`) when called, so a run that
     stays in ZZ and GF(p), as every command line does, never loads it.
-    `import fractions` there costs about 0.2 us a call once loaded, a
-    `from` import about 1.3 us."""
+    They use `import fractions`, not `from fractions import Fraction`:
+    once loaded, it costs about 0.2 us a call against 1.3 us (CPython
+    3.11, 2-vCPU VM)."""
 
     name = "QQ"
 

@@ -452,6 +452,7 @@ def test_each_request_runs_only_the_modules_it_needs(argv, expected):
     library, ran = modules_run_by(argv)
     assert library == expected
     assert "json" not in ran  # only JSON output needs it
+    assert "fractions" not in ran  # only QQ needs it
 
 
 TRACER_LAYERS = [

@@ -85,8 +85,8 @@ def test_bruteforce_reports_needed_precision():
 
 
 def test_bruteforce_rejects_negative_arguments():
-    # a negative shift or count would wrap the coefficient slices around:
-    # (-10, 4) read the window at shift +10, and (1, -2) gave []
+    # unrefused, a negative shift or count wraps the coefficient slices
+    # around: (-10, 4) would read the window at shift +10, (1, -2) give []
     for F, ell, count in (
         (catalan_series(6), -1, 2),
         (catalan_series(6), 1, -2),
