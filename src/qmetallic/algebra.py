@@ -143,24 +143,9 @@ class Domain:
     def __repr__(self):
         return self.name
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        raise NotImplementedError
-
     def reduce(self, x):
         """The stored form of an operator result: the identity on ZZ and QQ."""
         return x
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def exact_div(self, a, b):
-        raise NotImplementedError
 
 
 class IntegerDomain(Domain):
@@ -327,8 +312,8 @@ QQ = RationalDomain()
 
 
 def prime_field(p: int) -> PrimeFieldDomain:
-    # no cache: fields compare and hash by p, so two instances of one
-    # GF(p) already share every cache keyed by the domain
+    # no cache: fields compare and hash by p, so a polynomial or model
+    # built over two instances of one GF(p) is one value and one dict key
     return PrimeFieldDomain(p)
 
 

@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (
-    Domain,
-    ExactDivisionError,
-    Poly,
-    QQ,
-    Record,
-    ZZ,
-)
+from .algebra import ExactDivisionError, Poly, QQ, Record, ZZ
 from .cfrac import HFTerm, PeriodicHFraction
 from .qseries import Model, angle_bracket, metallic_model, metallic_series, q_integer
 
@@ -140,7 +133,7 @@ def alg_step(model: Model) -> AlgStepResult:
     )
 
 
-def hfraction_of_quadratic(model: Model, max_steps: int = None) -> PeriodicHFraction:
+def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFraction:
     """Expand the root of a quadratic model into its Hankel fraction.
 
     Iterates alg_step, recording each (A, B, C) triple; the first repeated
@@ -157,8 +150,6 @@ def hfraction_of_quadratic(model: Model, max_steps: int = None) -> PeriodicHFrac
     and mapped back when every emitted term is integral.
     """
     model.validate()
-    if max_steps is None:
-        max_steps = 1000
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     try:
@@ -216,7 +207,11 @@ def metallic_step_cap(n: int) -> int:
     return 12 * (6 * n - 4) + 24
 
 
-def expected_hfraction(n: int, dom: Domain = ZZ) -> PeriodicHFraction:
+# One entry serves every caller: the suites vary n in their outer loop.
+# Keeping eight entries raised the peak RSS of `verify --suite thmA
+# --n 10..24` by 0.2 MB and saved no measurable time.
+@lru_cache(maxsize=1)
+def expected_hfraction(n: int) -> PeriodicHFraction:
     """The predicted periodic Hankel fraction of the q-metallic series.
 
     n = 1 is the published 3-cycle; n >= 2 is assembled from the
@@ -226,55 +221,44 @@ def expected_hfraction(n: int, dom: Domain = ZZ) -> PeriodicHFraction:
     on the bracket polynomial; a mirror block; and a final q^2/1. Cycle
     length 6n-4, head 1/(1-q).
 
-    The last fraction built is kept by _metallic_template, so the
-    theorem suites, which ask for it once per shift, build it once per n.
-    It is immutable all the way down.
+    The last fraction built is kept, so the theorem suites, which ask
+    for it once per shift, build it once per n. It is immutable all the
+    way down.
     """
-    return _metallic_template(n, dom)
-
-
-# One entry serves every caller: the suites vary n in their outer loop.
-# Keeping eight entries raised the peak RSS of `verify --suite thmA
-# --n 10..24` by 0.2 MB and saved no measurable time.
-@lru_cache(maxsize=1)
-def _metallic_template(n: int, dom: Domain) -> PeriodicHFraction:
-    """expected_hfraction, with the default domain passed explicitly so
-    that expected_hfraction(n) and expected_hfraction(n, ZZ) share an
-    entry."""
     if n < 1:
         raise ValueError(f"metallic index must be >= 1, got {n}")
-    one = Poly.one(dom)
+    one = Poly.one(ZZ)
     if n == 1:
-        pair = q_integer(2, dom)  # 1 + q
+        pair = q_integer(2)  # 1 + q
         return PeriodicHFraction(
-            head=HFTerm(0, dom.from_int(1), one).validate(),
+            head=HFTerm(0, 1, one).validate(),
             preamble=(),
             cycle=(
-                HFTerm(0, dom.from_int(1), pair).validate(),
-                HFTerm(1, dom.from_int(-1), Poly(dom, (1, 1, -1))).validate(),
-                HFTerm(0, dom.from_int(-1), pair).validate(),
+                HFTerm(0, 1, pair).validate(),
+                HFTerm(1, -1, Poly(ZZ, (1, 1, -1))).validate(),
+                HFTerm(0, -1, pair).validate(),
             ),
         )
-    q = Poly.q(dom)
+    q = Poly.q(ZZ)
     one_minus_q = one - q
     # (numerator exponent, numerator sign, denominator) along one cycle
     entries = []
     for i in range(n - 2):
-        entries.append((n - i, 1, q_integer(n - i, dom)))
-        entries.append((n, 1, q_integer(i + 2, dom) - q))
+        entries.append((n - i, 1, q_integer(n - i)))
+        entries.append((n, 1, q_integer(i + 2) - q))
         entries.append((i + 2, 1, one_minus_q))
-    entries.append((2, 1, q_integer(2, dom)))
-    entries.append((n, 1, q_integer(n, dom) - q))
+    entries.append((2, 1, q_integer(2)))
+    entries.append((n, 1, q_integer(n) - q))
     entries.append((n, 1, one))
-    bracket = angle_bracket(n, dom)
-    bracket_plus = bracket + Poly.monomial(dom, n + 1)
+    bracket = angle_bracket(n)
+    bracket_plus = bracket + Poly.monomial(ZZ, n + 1)
     entries.append((n + 1, -1, bracket_plus))
     entries.append((2 * n + 1, 1, bracket))
     entries.append((2 * n + 1, 1, bracket_plus))
     entries.append((n + 1, -1, one))
     for i in range(n - 2):
-        entries.append((n - i, 1, q_integer(n - i, dom) - q))
-        entries.append((n, 1, q_integer(i + 2, dom)))
+        entries.append((n - i, 1, q_integer(n - i) - q))
+        entries.append((n, 1, q_integer(i + 2)))
         entries.append((i + 2, 1, one_minus_q))
     entries.append((2, 1, one))
     assert len(entries) == 6 * n - 4
@@ -284,9 +268,9 @@ def _metallic_template(n: int, dom: Domain) -> PeriodicHFraction:
     for exponent, sign, den in entries:
         k = exponent - k_prev - 2
         # a term numerator -v q^(k_prev + k + 2) carries sign -v
-        cycle.append(HFTerm(k=k, v=dom.from_int(-sign), d=den).validate())
+        cycle.append(HFTerm(k=k, v=-sign, d=den).validate())
         k_prev = k
-    head = HFTerm(0, dom.from_int(1), one_minus_q).validate()
+    head = HFTerm(0, 1, one_minus_q).validate()
     return PeriodicHFraction(head=head, preamble=(), cycle=tuple(cycle))
 
 
@@ -315,7 +299,7 @@ def shift_model(model: Model, f0) -> Model:
     return Model(a_new, b_new, c_new).validate()
 
 
-def shifted_metallic_model(n: int, ell: int, dom: Domain = ZZ) -> Model:
+def shifted_metallic_model(n: int, ell: int) -> Model:
     """Closed-form model of the ell-fold coefficient shift of the
     q-metallic series, valid for 0 <= ell <= n+1.
 
@@ -333,38 +317,37 @@ def shifted_metallic_model(n: int, ell: int, dom: Domain = ZZ) -> Model:
         raise ValueError(f"metallic index must be >= 1, got {n}")
     if not 0 <= ell <= n + 1:
         raise ValueError(f"shift must be in 0..n+1 for the closed forms, got {ell}")
-    one = Poly.one(dom)
-    q_minus_1 = Poly.q(dom) - one
-    quadratic_unit = Poly(dom, (1, -1, 1))  # q^2 - q + 1
+    one = Poly.one(ZZ)
+    q_minus_1 = Poly(ZZ, (-1, 1))  # q - 1
+    quadratic_unit = Poly(ZZ, (1, -1, 1))  # q^2 - q + 1
     if ell <= n:
-        inner = Poly.monomial(dom, n) - Poly.monomial(dom, n - ell) + one
-        a_pol = (Poly.monomial(dom, ell + 1) - quadratic_unit * inner).exact_div(
+        inner = Poly.monomial(ZZ, n) - Poly.monomial(ZZ, n - ell) + one
+        a_pol = (Poly.monomial(ZZ, ell + 1) - quadratic_unit * inner).exact_div(
             q_minus_1 * q_minus_1
         )
         b_pol = (
-            Poly.monomial(dom, ell + 1).scale(dom.from_int(2))
-            - quadratic_unit * (Poly.monomial(dom, n) + one)
+            Poly.monomial(ZZ, ell + 1, 2) - quadratic_unit * (Poly.monomial(ZZ, n) + one)
         ).exact_div(q_minus_1)
-        c_pol = Poly.monomial(dom, ell + 1)
+        c_pol = Poly.monomial(ZZ, ell + 1)
     else:
-        a_pol = Poly.monomial(dom, n - 1, dom.from_int(-1))
+        a_pol = Poly.monomial(ZZ, n - 1, -1)
         b_pol = (
-            -(quadratic_unit + Poly(dom, (1, -3, 1)) * Poly.monomial(dom, n))
+            -(quadratic_unit + Poly(ZZ, (1, -3, 1)) * Poly.monomial(ZZ, n))
         ).exact_div(q_minus_1)
-        c_pol = Poly.monomial(dom, n + 2)
+        c_pol = Poly.monomial(ZZ, n + 2)
     return Model(a_pol, b_pol, c_pol).validate()
 
 
-def shifted_model_chain(n: int, ell: int, dom: Domain = ZZ) -> Model:
+def shifted_model_chain(n: int, ell: int) -> Model:
     """Model of the ell-fold coefficient shift built by iterating
     shift_model along the series coefficients. Works for every ell >= 0,
     beyond the closed-form range of shifted_metallic_model."""
     if ell < 0:
         raise ValueError("shift must be >= 0")
-    model = metallic_model(n, dom)
+    model = metallic_model(n)
     if ell == 0:
         return model
-    coeffs = metallic_series(n, ell, dom).coeffs
+    coeffs = metallic_series(n, ell).coeffs
     for i in range(ell):
         model = shift_model(model, coeffs[i])
     return model
@@ -400,14 +383,14 @@ def truncate_hfraction_stream(hf: PeriodicHFraction, drop: int) -> PeriodicHFrac
     )
 
 
-def hfraction_of_shift(n: int, ell: int, dom: Domain = ZZ) -> PeriodicHFraction:
+def hfraction_of_shift(n: int, ell: int) -> PeriodicHFraction:
     """Hankel fraction of the ell-fold coefficient shift of the
     q-metallic series, by stream truncation of the full fraction.
 
     Dropping m terms with m = 3*ell (ell <= n-1), 3n-1 (ell = n), or
     3n (ell = n+1) exposes the fraction of the shifted series directly;
     no re-expansion is needed. Valid for 0 <= ell <= n+1, where the
-    fraction is known; ell = 0 returns expected_hfraction(n, dom) itself.
+    fraction is known; ell = 0 returns expected_hfraction(n) itself.
     """
     if not 0 <= ell <= n + 1:
         raise ValueError(
@@ -415,14 +398,14 @@ def hfraction_of_shift(n: int, ell: int, dom: Domain = ZZ) -> PeriodicHFraction:
             "only the brute-force route reaches larger shifts"
         )
     if ell == 0:
-        return expected_hfraction(n, dom)
+        return expected_hfraction(n)
     if ell <= n - 1:
         drop = 3 * ell
     elif ell == n:
         drop = 3 * n - 1
     else:
         drop = 3 * n
-    return truncate_hfraction_stream(expected_hfraction(n, dom), drop)
+    return truncate_hfraction_stream(expected_hfraction(n), drop)
 
 
 class SupportProfile(Record):

@@ -8,6 +8,10 @@ nonnegative. A metallic number (n + sqrt(n^2+4))/2 deforms to a power
 series Phi_n that is a root of an explicit quadratic equation with
 polynomial coefficients; `metallic_model` builds that equation and
 `series_of_model` expands any such root as an exact power series.
+
+Every builder here works over ZZ with plain ints: the objects of the
+paper are integral. A caller that needs another ring maps the result
+once with `map_domain`.
 """
 
 from __future__ import annotations
@@ -17,17 +21,17 @@ from math import comb
 from .algebra import Domain, ZZ, Poly, Record, Series
 
 
-def q_integer(n: int, dom: Domain = ZZ) -> Poly:
+def q_integer(n: int) -> Poly:
     """The q-deformation [n]_q = 1 + q + ... + q^(n-1) of an integer n >= 0.
 
     Satisfies [n+1]_q = q*[n]_q + 1.
     """
     if n < 0:
         raise ValueError(f"q-integers are defined here for n >= 0, got {n}")
-    return Poly(dom, (dom.from_int(1),) * n, normalized=True)
+    return Poly(ZZ, (1,) * n, normalized=True)
 
 
-def angle_bracket(n: int, dom: Domain = ZZ) -> Poly:
+def angle_bracket(n: int) -> Poly:
     """The auxiliary polynomial q*[n]_q + (1 + q^n)(1 - q), defined for n >= 2.
 
     Explicitly 1 + 2q^2 - q^3 for n = 2 and
@@ -35,9 +39,7 @@ def angle_bracket(n: int, dom: Domain = ZZ) -> Poly:
     """
     if n < 2:
         raise ValueError(f"angle bracket needs n >= 2, got {n}")
-    q = Poly.q(dom)
-    one = Poly.one(dom)
-    return q * q_integer(n, dom) + (one + Poly.monomial(dom, n)) * (one - q)
+    return Poly(ZZ, (1, 0) + (1,) * (n - 2) + (2, -1), normalized=True)
 
 
 class Model(Record):
@@ -86,7 +88,7 @@ class Model(Record):
         )
 
 
-def metallic_model(n: int, dom: Domain = ZZ) -> Model:
+def metallic_model(n: int) -> Model:
     """The quadratic equation satisfied by the q-metallic power series.
 
     Phi_n is the unique power-series root of
@@ -94,9 +96,9 @@ def metallic_model(n: int, dom: Domain = ZZ) -> Model:
     """
     if n < 1:
         raise ValueError(f"metallic index must be >= 1, got {n}")
-    one = Poly.one(dom)
-    q = Poly.q(dom)
-    b = (one + Poly.monomial(dom, n)) * (one - q) - q * q_integer(n, dom)
+    one = Poly.one(ZZ)
+    q = Poly.q(ZZ)
+    b = (one + Poly.monomial(ZZ, n)) * (one - q) - q * q_integer(n)
     return Model(a=-one, b=b, c=q)
 
 
@@ -140,9 +142,9 @@ def series_of_model(model: Model, prec: int) -> Series:
     return Series(dom, tuple(f), prec, normalized=True)
 
 
-def metallic_series(n: int, prec: int, dom: Domain = ZZ) -> Series:
+def metallic_series(n: int, prec: int) -> Series:
     """Taylor expansion of the q-metallic number Phi_n."""
-    return series_of_model(metallic_model(n, dom), prec)
+    return series_of_model(metallic_model(n), prec)
 
 
 def continued_fraction_digits(x) -> list:
@@ -160,7 +162,7 @@ def continued_fraction_digits(x) -> list:
         num, den = den, r
 
 
-def q_rational_pair(x, dom: Domain = ZZ):
+def q_rational_pair(x):
     """The q-deformation of a nonnegative rational as a fraction (P, Q) of
     polynomials with Q(0) = 1.
 
@@ -174,43 +176,40 @@ def q_rational_pair(x, dom: Domain = ZZ):
     m = len(digits) - 1
     last = digits[m]
     if m % 2 == 0:
-        p_cur, q_cur = q_integer(last, dom), Poly.one(dom)
+        p_cur, q_cur = q_integer(last), Poly.one(ZZ)
     else:
-        p_cur, q_cur = q_integer(last, dom), Poly.monomial(dom, last - 1)
+        p_cur, q_cur = q_integer(last), Poly.monomial(ZZ, last - 1)
     for i in range(m - 1, -1, -1):
         ai = digits[i]
         if i % 2 == 0:
-            p_next = q_integer(ai, dom) * p_cur + Poly.monomial(dom, ai) * q_cur
+            p_next = q_integer(ai) * p_cur + Poly.monomial(ZZ, ai) * q_cur
             q_next = p_cur
         else:
-            p_next = Poly.q(dom) * q_integer(ai, dom) * p_cur + q_cur
-            q_next = Poly.monomial(dom, ai) * p_cur
+            p_next = Poly.q(ZZ) * q_integer(ai) * p_cur + q_cur
+            q_next = Poly.monomial(ZZ, ai) * p_cur
         p_cur, q_cur = p_next, q_next
-    if not dom.is_unit(q_cur.constant()):
-        raise ArithmeticError(f"denominator constant term {q_cur.constant()} not a unit")
-    if q_cur.constant() != dom.from_int(1):
-        # normalize so Q(0) = 1 (only a sign over ZZ)
-        u = dom.inv(q_cur.constant())
-        p_cur, q_cur = p_cur.scale(u), q_cur.scale(u)
-    return p_cur, q_cur
+    u = q_cur.constant()
+    if u not in (1, -1):
+        raise ArithmeticError(f"denominator constant term {u} not a unit")
+    # a unit of ZZ is its own inverse, so scaling by it makes Q(0) = 1
+    return p_cur.scale(u), q_cur.scale(u)
 
 
-def q_rational(x, prec: int, dom: Domain = ZZ) -> Series:
+def q_rational(x, prec: int) -> Series:
     """Taylor expansion of the q-deformation of a nonnegative rational."""
-    p, q = q_rational_pair(x, dom)
+    p, q = q_rational_pair(x)
     return Series.from_poly(p, prec).div(Series.from_poly(q, prec))
 
 
-def catalan_series(prec: int, dom: Domain = ZZ) -> Series:
+def catalan_series(prec: int) -> Series:
     """Generating series of the Catalan numbers 1, 1, 2, 5, 14, ..."""
-    coeffs = [dom.from_int(comb(2 * i, i) // (i + 1)) for i in range(max(prec, 0))]
-    return Series(dom, coeffs, prec)
+    return Series(ZZ, [comb(2 * i, i) // (i + 1) for i in range(max(prec, 0))], prec)
 
 
-def motzkin_series(prec: int, dom: Domain = ZZ) -> Series:
+def motzkin_series(prec: int) -> Series:
     """Generating series of the Motzkin numbers 1, 1, 2, 4, 9, 21, ..."""
-    coeffs = []
-    for i in range(max(prec, 0)):
-        m = sum(comb(i, 2 * k) * (comb(2 * k, k) // (k + 1)) for k in range(i // 2 + 1))
-        coeffs.append(dom.from_int(m))
-    return Series(dom, coeffs, prec)
+    coeffs = [
+        sum(comb(i, 2 * k) * (comb(2 * k, k) // (k + 1)) for k in range(i // 2 + 1))
+        for i in range(max(prec, 0))
+    ]
+    return Series(ZZ, coeffs, prec)

@@ -424,8 +424,8 @@ def support_membership(n: int, j: int):
     if j < 0:
         raise ValueError("index must be >= 0")
     P = 2 * n * (n + 1)
-    while j > P:
-        j -= P
+    if j > P:
+        j = (j - 1) % P + 1
     if j % (n + 1) == 0:
         return True, "i"
     if j % (n + 1) == 1 and 1 <= j <= n * n:
@@ -594,7 +594,7 @@ def modp_analysis(
     if ell < 0:
         raise ValueError("shift must be >= 0")
     dom = prime_field(p)
-    exact = shifted_model_chain(n, ell, ZZ)
+    exact = shifted_model_chain(n, ell)
     checks = []
 
     exact_window = (

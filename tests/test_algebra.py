@@ -18,6 +18,7 @@ from qmetallic import (
     QQ,
     det_fraction_free,
     leading_minors,
+    metallic_model,
     metallic_series,
     prime_field,
 )
@@ -163,6 +164,15 @@ def test_prime_field_requires_prime_modulus():
     f5 = prime_field(5)
     assert f5.reduce(f5.from_int(3) * f5.from_int(4)) == f5.from_int(2)
     assert f5.inv(f5.from_int(2)) == f5.from_int(3)
+
+
+def test_prime_fields_built_apart_are_one_value_and_one_key():
+    # prime_field keeps no cache: GF(7) built twice is two equal objects
+    # with one hash, so a model built over either is one dict key
+    a, b = prime_field(7), prime_field(7)
+    assert a is not b and a == b and hash(a) == hash(b)
+    ma, mb = metallic_model(3).map_domain(a), metallic_model(3).map_domain(b)
+    assert ma == mb and hash(ma) == hash(mb) and len({ma, mb}) == 1
 
 
 # --- prime-field arithmetic against ZZ/QQ ---------------------------------------

@@ -212,7 +212,7 @@ def test_artin_expand_needs_vanishing_constant_term():
 
 
 def test_artin_convergents_improve_strictly():
-    f = metallic_series(1, 40, dom=QQ).shift_up(1).truncate(40)
+    f = metallic_series(1, 40).map_domain(QQ).shift_up(1).truncate(40)
     cf = artin_expand(f, max_quotients=8)
     gaps = []
     for depth in range(1, len(cf.quotients) + 1):
@@ -245,7 +245,7 @@ def test_dictionary_preserves_values():
 
 
 def test_dictionary_against_direct_expansion_for_catalan():
-    f = catalan_series(40, dom=QQ)
+    f = catalan_series(40).map_domain(QQ)
     via_artin = artin_to_hf(artin_expand(f.shift_up(1).truncate(40), 12))
     direct = greedy_hfraction(f, max_terms=12)
     n = min(via_artin.n_stored_terms(), direct.n_stored_terms())

@@ -348,6 +348,14 @@ def test_out_flag_writes_the_file(capsys, tmp_path):
     assert json.loads(target.read_text())["n"] == 1
 
 
+def test_out_flag_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "payload.txt"
+    code, out, err = run(["series", "--n", "1", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def console_script():
     """argv prefix of the `qmetallic` console script: the installed one, or
     else the entry point pyproject.toml declares, run in a fresh interpreter."""

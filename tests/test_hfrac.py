@@ -266,35 +266,20 @@ def test_template_equals_algorithm_for_small_indices():
         assert expected_hfraction(n) == hfraction_of_quadratic(metallic_model(n))
 
 
-def test_template_is_built_once_per_ring_and_kept_in_a_bounded_cache():
-    cache = hfrac._metallic_template
-    assert isinstance(cache.cache_info().maxsize, int)
-    cache.cache_clear()
-    assert expected_hfraction(4) is expected_hfraction(4, ZZ)
-    for dom in (ZZ, QQ, prime_field(7), prime_field(11)):
-        hf = expected_hfraction(3, dom)
-        assert hf.dom == dom and expected_hfraction(3, dom) is hf
-    info = cache.cache_info()
-    # each ring is a new key: a shared key would have served the wrong ring
-    assert (info.misses, info.hits) == (5, 5)
+def test_template_is_built_once_per_n_and_kept_in_a_bounded_cache():
+    assert expected_hfraction.cache_info().maxsize == 1
+    expected_hfraction.cache_clear()
+    hf = expected_hfraction(4)
+    assert hf.dom == ZZ and expected_hfraction(4) is hf
+    assert expected_hfraction(3) is not hf and expected_hfraction(4) is not hf
+    info = expected_hfraction.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
 
-
-
-def test_prime_fields_built_apart_share_one_template_entry():
-    # prime_field keeps no cache of its own: GF(7) built twice is two
-    # equal objects, and the template cache serves both from one entry
-    cache = hfrac._metallic_template
-    cache.cache_clear()
-    a, b = prime_field(7), prime_field(7)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert expected_hfraction(3, a) is expected_hfraction(3, b)
-    info = cache.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 def test_theorem_d_suite_builds_each_template_once():
-    hfrac._metallic_template.cache_clear()
+    expected_hfraction.cache_clear()
     assert all(c.passed for c in run_suite("thmD", range(20, 31)))
-    assert hfrac._metallic_template.cache_info().misses == 11
+    assert expected_hfraction.cache_info().misses == 11
 
 
 def test_cached_template_is_immutable():
@@ -469,9 +454,8 @@ def test_shift_fraction_via_truncation_matches_direct_expansion():
 
 
 def test_shift_zero_is_the_template_itself():
-    for dom in (ZZ, prime_field(7)):
-        for n in (1, 2, 5):
-            assert hfraction_of_shift(n, 0, dom) is expected_hfraction(n, dom)
+    for n in (1, 2, 5):
+        assert hfraction_of_shift(n, 0) is expected_hfraction(n)
 
 
 def test_shift_one_rendered_heads():
@@ -629,8 +613,9 @@ def test_determinants_from_stored_terms_match_the_per_term_loop():
     ]
     for n in range(1, 5):
         for dom in (ZZ, QQ, prime_field(7), prime_field(10000000000037)):
-            fractions.append(expected_hfraction(n, dom))
-            fractions += [hfraction_of_shift(n, ell, dom) for ell in range(1, n + 2)]
+            fractions += [
+                hfraction_of_shift(n, ell).map_domain(dom) for ell in range(n + 2)
+            ]
         for p in (2, 3, 5):
             for ell in range(0, n + 4):
                 model = shifted_model_chain(n, ell).map_domain(prime_field(p))

@@ -160,8 +160,10 @@ def test_sparse_recursion_matches_the_dense_one():
     for dom in domains:
         # over QQ, n = 4 (prec 160) alone would take about 1.5 s
         for n in range(1, 4 if dom is QQ else 5):
-            models = [metallic_model(n, dom)]
-            models += [shifted_metallic_model(n, ell, dom) for ell in range(n + 2)]
+            models = [metallic_model(n).map_domain(dom)]
+            models += [
+                shifted_metallic_model(n, ell).map_domain(dom) for ell in range(n + 2)
+            ]
             for model in models:
                 for prec in (0, 1, 2, 8 * n * (n + 1)):
                     assert series_of_model(model, prec) == reference_series_of_model(

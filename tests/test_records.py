@@ -78,7 +78,7 @@ def test_equality_and_hash_follow_the_field_values():
     assert a == b and not a != b and hash(a) == hash(b) == hash((0, 1, d))
     assert a != c and not a == c
     assert len({a, b, c}) == 2
-    assert expected_hfraction(3) == expected_hfraction(3, ZZ)
+    assert expected_hfraction(3) == expected_hfraction(3).map_domain(ZZ)
     assert Model(d, d, d) != Model(d, d, Poly(ZZ, [0, 1]))
 
 

@@ -1,5 +1,6 @@
 """The public surface: what `qmetallic` exports, and what it no longer has."""
 
+import inspect
 import os
 import pathlib
 import subprocess
@@ -47,6 +48,7 @@ DELETED = [
     (algebra, "series_lowest_term"),
     (qseries, "q_integer_inv"),
     (hfrac, "hankel_from_hfraction"),
+    (hfrac, "_metallic_template"),
     (oracle, "hankel_bruteforce"),
 ]
 
@@ -71,6 +73,28 @@ def test_deleted_members_are_gone():
     assert not hasattr(HankelReport, "csv_rows")
     assert not hasattr(SupportProfile, "to_json_dict")
     assert SupportProfile._fields == ("k_seq", "s_seq", "eps_seq")
+    # the base class keeps only what every ring shares
+    stubs = ("from_int", "coerce", "is_unit", "inv", "exact_div")
+    assert not set(stubs) & set(vars(algebra.Domain))
+
+
+# the closed forms of the paper are integral: each is built over ZZ, and a
+# caller that needs another ring maps the result with `map_domain`
+BUILDERS = [
+    (qseries, "q_integer"), (qseries, "angle_bracket"),
+    (qseries, "metallic_model"), (qseries, "metallic_series"),
+    (qseries, "q_rational_pair"), (qseries, "q_rational"),
+    (qseries, "catalan_series"), (qseries, "motzkin_series"),
+    (hfrac, "expected_hfraction"), (hfrac, "shifted_metallic_model"),
+    (hfrac, "shifted_model_chain"), (hfrac, "hfraction_of_shift"),
+]
+
+
+def test_closed_form_builders_take_no_ring():
+    for module, name in BUILDERS:
+        params = inspect.signature(getattr(module, name)).parameters
+        assert "dom" not in params, name
+        assert all(p.annotation != "Domain" for p in params.values()), name
 
 
 def test_star_import_binds_every_public_name():

@@ -474,6 +474,26 @@ def test_membership_witnesses():
         support_membership(5, -1)
 
 
+def looped_membership(n, j):
+    """support_membership after moving j into the window one period at a
+    time, the reduction's first form."""
+    P = 2 * n * (n + 1)
+    while j > P:
+        j -= P
+    return support_membership(n, j)
+
+
+def test_membership_reduces_an_index_of_any_size_at_once():
+    for n in range(3, 7):
+        P = 2 * n * (n + 1)
+        for j in range(5 * P):
+            assert support_membership(n, j) == looped_membership(n, j), (n, j)
+        # the loop would take about 10^30 / P steps here
+        whole = 10**30 // P * P
+        for j in range(1, P + 1):
+            assert support_membership(n, whole + j) == support_membership(n, j)
+
+
 # --- sequence bookkeeping and stream symmetry ------------------------------------
 
 
