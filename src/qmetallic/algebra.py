@@ -13,8 +13,8 @@ unreduced ints and `Domain.reduce` brings each output coefficient back
 into range(p) once; over ZZ and QQ it is the identity. The paths that
 test `Domain.reduces` first skip it there: the `Poly` and `Series`
 operators and `hfrac.alg_step`. The others still call it on every ring:
-`Poly.divrem`, `Series.invert`, the determinant kernel of QQ and
-GF(p) (`_bareiss_generic`), `qseries.series_of_model`,
+`Series.invert`, the determinant kernel of QQ and GF(p)
+(`_bareiss_generic`), `qseries.series_of_model`,
 `hfrac.hankel_values_from_hfraction`, the `cfrac` dictionary and
 `cfrac.HFTerm.to_json_dict`.
 """
@@ -175,14 +175,6 @@ class IntegerDomain(Domain):
             return a
         raise ExactDivisionError(f"{a} is not a unit in ZZ")
 
-    def exact_div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in ZZ")
-        q, r = divmod(a, b)
-        if r:
-            raise ExactDivisionError(f"{a} is not divisible by {b}")
-        return q
-
 
 class RationalDomain(Domain):
     """Elements are Fractions. The methods that make or recognise one
@@ -215,11 +207,6 @@ class RationalDomain(Domain):
         import fractions
 
         return fractions.Fraction(1) / a
-
-    def exact_div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return a / b
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -302,9 +289,6 @@ class PrimeFieldDomain(Domain):
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 is not invertible in {self.name}")
         return pow(a, -1, self.p)
-
-    def exact_div(self, a, b):
-        return a * self.inv(b) % self.p
 
 
 ZZ = IntegerDomain()
@@ -469,33 +453,6 @@ class Poly:
             raise ExactDivisionError(f"polynomial not divisible by q^{k}")
         return Poly(self.dom, self.coeffs[k:], normalized=True)
 
-    def divrem(self, other: "Poly"):
-        """Euclidean division. Over ZZ each elimination step must divide
-        exactly, otherwise ExactDivisionError is raised."""
-        dom = self._same_dom(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lb = len(other.coeffs) - 1, other.coeffs[-1]
-        if len(rem) - 1 < db:
-            return Poly.zero(dom), self
-        quot = [dom.from_int(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = dom.reduce(rem[i])
-            if not c:
-                continue
-            f = dom.exact_div(c, lb)
-            quot[i - db] = f
-            for j, cb in enumerate(other.coeffs, i - db):
-                rem[j] -= f * cb
-        return Poly(dom, quot), Poly._reduced(dom, rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divrem(other)
-        if not r.is_zero():
-            raise ExactDivisionError("polynomial division left a remainder")
-        return q
-
     def map_domain(self, new_dom: Domain) -> "Poly":
         return Poly(new_dom, tuple(new_dom.coerce(c) for c in self.coeffs))
 
@@ -557,7 +514,7 @@ class Series:
     """Truncated power series: the coefficients f_0 .. f_{prec-1} are known.
 
     len(coeffs) == prec always. Arithmetic propagates the minimum precision
-    of its inputs; asking for a coefficient at or past prec raises.
+    of its inputs; asking for coefficients past prec raises.
     """
 
     __slots__ = ("dom", "coeffs", "prec")
@@ -589,15 +546,6 @@ class Series:
     @staticmethod
     def zero(dom: Domain, prec: int) -> "Series":
         return Series(dom, [], prec)
-
-    def coefficient(self, i: int):
-        if i < 0:
-            raise IndexError("negative exponent")
-        if i >= self.prec:
-            raise PrecisionError(
-                f"coefficient {i} requested from a series known to O(q^{self.prec})"
-            )
-        return self.coeffs[i]
 
     def valuation(self):
         """Index of the first nonzero known coefficient, or None if the
@@ -677,11 +625,6 @@ class Series:
                         out[j] += ca * cb
         return Series._reduced(dom, out)
 
-    def mul_poly(self, p: Poly) -> "Series":
-        if p.dom != self.dom:
-            raise TypeError(f"domain mismatch: {self.dom} vs {p.dom}")
-        return self * Series.from_poly(p, self.prec)
-
     def scale(self, c) -> "Series":
         c = self.dom.coerce(c)
         return Series._reduced(self.dom, [x * c for x in self.coeffs])
@@ -701,20 +644,6 @@ class Series:
             acc = sum(fi * out[m - i] for i, fi in enumerate(f[1:m + 1], 1) if fi)
             out.append(dom.reduce(-acc * inv0))
         return Series(dom, tuple(out), normalized=True)
-
-    def div(self, other: "Series") -> "Series":
-        """Divide, cancelling the divisor's valuation v; the dividend must
-        vanish to order v. The result loses v terms of precision."""
-        self._same_dom(other)
-        v = other.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by a series that is zero to precision")
-        if any(self.coeffs[:v]):
-            raise ExactDivisionError(f"dividend has valuation < divisor valuation {v}")
-        num = self.shift_down(min(v, self.prec))
-        den = other.shift_down(v)
-        n = min(num.prec, den.prec)
-        return (num.truncate(n) * den.truncate(n).invert())
 
     def map_domain(self, new_dom: Domain) -> "Series":
         return Series(new_dom, [new_dom.coerce(c) for c in self.coeffs], self.prec)

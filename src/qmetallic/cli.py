@@ -13,7 +13,6 @@ or inconclusive report, 1 failed check, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 # the library modules are lazy (see the package docstring): each runs on
@@ -29,19 +28,6 @@ DEFAULT_PRECISION = 24
 
 class UsageError(Exception):
     pass
-
-
-def _default_precision() -> int:
-    raw = os.environ.get("HM_DEFAULT_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        prec = int(raw)
-    except ValueError:
-        raise UsageError(f"HM_DEFAULT_PRECISION must be an integer, got {raw!r}")
-    if prec < 1:
-        raise UsageError("HM_DEFAULT_PRECISION must be >= 1")
-    return prec
 
 
 def _csv_cell(v) -> str:
@@ -92,7 +78,7 @@ def _parse_n_range(text: str) -> list:
 
 
 def _cmd_series(args) -> tuple:
-    prec = args.prec if args.prec is not None else _default_precision()
+    prec = args.prec
     if args.n < 1 or prec < 1:
         raise UsageError("series needs --n >= 1 and --prec >= 1")
     f = qseries.metallic_series(args.n, prec)
@@ -278,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="Taylor coefficients of the q-metallic series")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prec", type=int, default=None,
-                   help="number of coefficients (default: HM_DEFAULT_PRECISION or 24)")
+    p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
+                   help="number of coefficients (default 24)")
     add_common(p)
     p.set_defaults(run=_cmd_series)
 

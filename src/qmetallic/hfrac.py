@@ -19,6 +19,7 @@ integer model whose step meets a non-unit is expanded again over QQ.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .algebra import ExactDivisionError, Poly, QQ, Record, ZZ
 from .cfrac import HFTerm, PeriodicHFraction
@@ -299,6 +300,15 @@ def shift_model(model: Model, f0) -> Model:
     return Model(a_new, b_new, c_new).validate()
 
 
+def _over_one_minus_q(p: Poly) -> Poly:
+    """p / (1 - q) over ZZ. The quotient's coefficients are the running
+    sums of p's; the division is exact iff the last sum, p(1), is 0."""
+    sums = list(accumulate(p.coeffs))
+    if sums and sums[-1]:
+        raise ExactDivisionError(f"{p} is not divisible by 1 - q")
+    return Poly(ZZ, sums[:-1])
+
+
 def shifted_metallic_model(n: int, ell: int) -> Model:
     """Closed-form model of the ell-fold coefficient shift of the
     q-metallic series, valid for 0 <= ell <= n+1.
@@ -318,22 +328,22 @@ def shifted_metallic_model(n: int, ell: int) -> Model:
     if not 0 <= ell <= n + 1:
         raise ValueError(f"shift must be in 0..n+1 for the closed forms, got {ell}")
     one = Poly.one(ZZ)
-    q_minus_1 = Poly(ZZ, (-1, 1))  # q - 1
     quadratic_unit = Poly(ZZ, (1, -1, 1))  # q^2 - q + 1
+    # (q-1)^2 = (1-q)^2 and 1/(q-1) = -1/(1-q)
     if ell <= n:
         inner = Poly.monomial(ZZ, n) - Poly.monomial(ZZ, n - ell) + one
-        a_pol = (Poly.monomial(ZZ, ell + 1) - quadratic_unit * inner).exact_div(
-            q_minus_1 * q_minus_1
+        a_pol = _over_one_minus_q(
+            _over_one_minus_q(Poly.monomial(ZZ, ell + 1) - quadratic_unit * inner)
         )
-        b_pol = (
+        b_pol = -_over_one_minus_q(
             Poly.monomial(ZZ, ell + 1, 2) - quadratic_unit * (Poly.monomial(ZZ, n) + one)
-        ).exact_div(q_minus_1)
+        )
         c_pol = Poly.monomial(ZZ, ell + 1)
     else:
         a_pol = Poly.monomial(ZZ, n - 1, -1)
-        b_pol = (
-            -(quadratic_unit + Poly(ZZ, (1, -3, 1)) * Poly.monomial(ZZ, n))
-        ).exact_div(q_minus_1)
+        b_pol = _over_one_minus_q(
+            quadratic_unit + Poly(ZZ, (1, -3, 1)) * Poly.monomial(ZZ, n)
+        )
         c_pol = Poly.monomial(ZZ, n + 2)
     return Model(a_pol, b_pol, c_pol).validate()
 

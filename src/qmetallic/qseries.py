@@ -83,8 +83,8 @@ class Model(Record):
         """A + B*f + C*f^2, truncated to f's precision. Zero iff f is a root."""
         return (
             Series.from_poly(self.a, f.prec)
-            + f.mul_poly(self.b)
-            + (f * f).mul_poly(self.c)
+            + f * Series.from_poly(self.b, f.prec)
+            + f * f * Series.from_poly(self.c, f.prec)
         )
 
 
@@ -198,7 +198,7 @@ def q_rational_pair(x):
 def q_rational(x, prec: int) -> Series:
     """Taylor expansion of the q-deformation of a nonnegative rational."""
     p, q = q_rational_pair(x)
-    return Series.from_poly(p, prec).div(Series.from_poly(q, prec))
+    return Series.from_poly(p, prec) * Series.from_poly(q, prec).invert()
 
 
 def catalan_series(prec: int) -> Series:

@@ -13,7 +13,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -36,8 +35,6 @@ def stdout_of(argv) -> bytes:
 
 
 def main() -> int:
-    # the benchmark runs its requests without this setting, so must we
-    os.environ.pop("HM_DEFAULT_PRECISION", None)
     digests = json.loads(DIGESTS.read_text())
     differ = [
         line for line, digest in digests.items()

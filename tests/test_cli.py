@@ -70,17 +70,10 @@ def test_series_csv(capsys):
     assert out == "n,j,coefficient\n1,0,1\n"
 
 
-def test_series_env_precision(capsys, monkeypatch):
+def test_series_precision_comes_only_from_the_flag(capsys, monkeypatch):
     monkeypatch.setenv("HM_DEFAULT_PRECISION", "5")
     code, payload, _ = run_json(["series", "--n", "1"], "series", capsys)
-    assert code == 0 and payload["prec"] == 5 and len(payload["coefficients"]) == 5
-
-
-def test_series_env_precision_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("HM_DEFAULT_PRECISION", "soon")
-    code, _, err = run(["series", "--n", "1"], capsys)
-    assert code == 2
-    assert "HM_DEFAULT_PRECISION must be an integer" in err
+    assert code == 0 and payload["prec"] == 24 and len(payload["coefficients"]) == 24
 
 
 # --- hfrac -------------------------------------------------------------

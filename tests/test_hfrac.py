@@ -402,9 +402,30 @@ def test_shift_rejects_an_unnormalized_model():
 
 
 def test_closed_form_shifts_match_iterated_shifting():
-    for n in (1, 2, 3, 5):
+    for n in range(1, 31):
         for ell in range(0, n + 2):
             assert shifted_metallic_model(n, ell) == shifted_model_chain(n, ell)
+
+
+# the closed forms divide by (1 - q)^2 and 1 - q by running sums
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=8))
+def test_running_sums_undo_a_product_with_one_minus_q(coeffs):
+    p = Poly(ZZ, coeffs)
+    assert hfrac._over_one_minus_q(p * Poly(ZZ, [1, -1])) == p
+
+
+def test_running_sums_give_the_textbook_quotients():
+    over = hfrac._over_one_minus_q
+    assert over(Poly(ZZ, [1, 0, -1])) == Poly(ZZ, [1, 1])  # (1-q^2)/(1-q)
+    assert over(Poly(ZZ, [1, 0, 0, 0, 0, -1])) == Poly(ZZ, [1] * 5)  # geometric sum
+
+
+def test_running_sums_refuse_a_nonzero_coefficient_sum():
+    with pytest.raises(ExactDivisionError, match="not divisible by 1 - q"):
+        hfrac._over_one_minus_q(Poly(ZZ, [0, 0, 0, 1]))  # q^3/(1-q) leaves 1
 
 
 def test_closed_form_shift_endpoints():

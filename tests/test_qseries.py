@@ -18,6 +18,7 @@ from qmetallic import (
     motzkin_series,
     q_integer,
     q_rational,
+    q_rational_pair,
     prime_field,
     series_of_model,
     shifted_metallic_model,
@@ -102,6 +103,23 @@ def test_model_root_residual_vanishes():
         model = metallic_model(n)
         f = series_of_model(model, 24)
         assert model.residual(f).valuation() is None
+
+
+def test_model_residual_starts_where_the_series_leaves_the_root():
+    # B(0) = 1 and C(0) = 0, so changing f_j by e changes the residual by
+    # e q^j + O(q^(j+1))
+    model = metallic_model(3)
+    f = series_of_model(model, 16)
+    for j in (0, 5, 15):
+        coeffs = list(f.coeffs)
+        coeffs[j] += 2
+        res = model.residual(Series(ZZ, coeffs))
+        assert res.valuation() == j and res.coeffs[j] == 2
+
+
+def test_model_residual_needs_a_series_over_the_model_ring():
+    with pytest.raises(TypeError, match="domain mismatch"):
+        metallic_model(2).residual(Series(QQ, [1, 1, 0], 3))
 
 
 def test_series_shape_ones_zeros_one():
@@ -196,6 +214,14 @@ def test_q_rational_one_half():
     # q/(1+q) = q - q^2 + q^3 - ...
     f = q_rational(Fraction(1, 2), 8)
     assert list(f.coeffs) == [0, 1, -1, 1, -1, 1, -1, 1]
+
+
+def test_q_rational_times_its_denominator_is_its_numerator():
+    for x in map(Fraction, ("1/2", "5/3", "7/5", "13/8", "3")):
+        p, q = q_rational_pair(x)
+        assert q.constant() == 1
+        f = q_rational(x, 10)
+        assert f * Series.from_poly(q, 10) == Series.from_poly(p, 10)
 
 
 def test_q_rational_zero():

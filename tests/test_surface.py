@@ -10,8 +10,8 @@ import pytest
 
 import qmetallic
 from qmetallic import (
-    HankelReport, Poly, RegularCF, Series, SupportProfile, algebra, hfrac, oracle,
-    qseries, verify,
+    QQ, ZZ, HankelReport, Poly, RegularCF, Series, SupportProfile, algebra, cli,
+    hfrac, oracle, prime_field, qseries, verify,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,6 +50,7 @@ DELETED = [
     (hfrac, "hankel_from_hfraction"),
     (hfrac, "_metallic_template"),
     (oracle, "hankel_bruteforce"),
+    (cli, "_default_precision"),
 ]
 
 
@@ -70,6 +71,11 @@ def test_deleted_members_are_gone():
     assert not hasattr(Poly, "__pow__")
     assert not hasattr(RegularCF, "depth")
     assert not hasattr(Series, "is_zero_to_precision")
+    # the closed forms divide by powers of 1 - q with running sums
+    assert not {"divrem", "exact_div"} & set(vars(Poly))
+    assert not {"div", "mul_poly", "coefficient"} & set(vars(Series))
+    for dom in (ZZ, QQ, prime_field(7)):
+        assert not hasattr(dom, "exact_div")
     assert not hasattr(HankelReport, "csv_rows")
     assert not hasattr(SupportProfile, "to_json_dict")
     assert SupportProfile._fields == ("k_seq", "s_seq", "eps_seq")
