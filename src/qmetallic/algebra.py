@@ -17,6 +17,11 @@ operators and `hfrac.alg_step`. The others still call it on every ring:
 (`_bareiss_generic`), `qseries.series_of_model`,
 `hfrac.hankel_values_from_hfraction`, the `cfrac` dictionary and
 `cfrac.HFTerm.to_json_dict`.
+
+A ring has five members: `name`, `reduces`, `reduce`, `coerce` and
+`inv`. `inv` is also the one unit test: in every ring it raises
+ExactDivisionError on a non-unit. Zero and one are the int literals 0
+and 1 in every ring.
 """
 
 from __future__ import annotations
@@ -131,8 +136,10 @@ class Domain:
 
     Instances are stateless and shared (ZZ, QQ, prime_field(p)). Elements
     are plain Python values: int for ZZ and prime fields, Fraction for QQ.
-    Stored elements are always reduced, so an element is zero exactly
-    when it is falsy.
+    Zero and one are written as the ints 0 and 1 in every ring, so a QQ
+    coefficient tuple may hold them beside Fractions; they compare and
+    hash equal to Fraction(0) and Fraction(1). Stored elements are always
+    reduced, so an element is zero exactly when it is falsy.
     """
 
     name: str = "?"
@@ -151,9 +158,6 @@ class Domain:
 class IntegerDomain(Domain):
     name = "ZZ"
 
-    def from_int(self, n):
-        return int(n)
-
     def coerce(self, x):
         if isinstance(x, bool):
             raise TypeError("bool is not an integer coefficient")
@@ -167,9 +171,6 @@ class IntegerDomain(Domain):
             raise ExactDivisionError(f"{x} is not an integer")
         raise TypeError(f"cannot coerce {type(x).__name__} into ZZ")
 
-    def is_unit(self, a):
-        return a in (1, -1)
-
     def inv(self, a):
         if a in (1, -1):
             return a
@@ -177,19 +178,16 @@ class IntegerDomain(Domain):
 
 
 class RationalDomain(Domain):
-    """Elements are Fractions. The methods that make or recognise one
-    import `fractions` (which loads `decimal`) when called, so a run that
-    stays in ZZ and GF(p), as every command line does, never loads it.
+    """Elements are Fractions, and the ints 0 and 1 (see `Domain`). No
+    float can arise: the package's only `/` is `inv`'s `Fraction(1) / a`.
+    The methods that make or recognise a Fraction import `fractions`
+    (which loads `decimal`) when called, so a run that stays in ZZ and
+    GF(p), as every command line does, never loads it.
     They use `import fractions`, not `from fractions import Fraction`:
     once loaded, it costs about 0.2 us a call against 1.3 us (CPython
     3.11, 2-vCPU VM)."""
 
     name = "QQ"
-
-    def from_int(self, n):
-        import fractions
-
-        return fractions.Fraction(n)
 
     def coerce(self, x):
         import fractions
@@ -200,10 +198,9 @@ class RationalDomain(Domain):
             return fractions.Fraction(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into QQ")
 
-    def is_unit(self, a):
-        return a != 0
-
     def inv(self, a):
+        if not a:
+            raise ExactDivisionError("0 is not a unit in QQ")
         import fractions
 
         return fractions.Fraction(1) / a
@@ -262,9 +259,6 @@ class PrimeFieldDomain(Domain):
     def __hash__(self):
         return hash(("GF", self.p))
 
-    def from_int(self, n):
-        return n % self.p
-
     def coerce(self, x):
         if isinstance(x, bool):
             raise TypeError("bool is not a field coefficient")
@@ -282,12 +276,9 @@ class PrimeFieldDomain(Domain):
     def reduce(self, x):
         return x % self.p
 
-    def is_unit(self, a):
-        return a % self.p != 0
-
     def inv(self, a):
         if a % self.p == 0:
-            raise ZeroDivisionError(f"0 is not invertible in {self.name}")
+            raise ExactDivisionError(f"{a} is not a unit in {self.name}")
         return pow(a, -1, self.p)
 
 
@@ -344,7 +335,7 @@ class Poly:
 
     @staticmethod
     def one(dom: Domain) -> "Poly":
-        return Poly(dom, (dom.from_int(1),), normalized=True)
+        return Poly(dom, (1,), normalized=True)
 
     @staticmethod
     def q(dom: Domain) -> "Poly":
@@ -357,7 +348,7 @@ class Poly:
         c = dom.coerce(c)
         if not c:
             return Poly.zero(dom)
-        coeffs = (dom.from_int(0),) * e + (c,)
+        coeffs = (0,) * e + (c,)
         return Poly(dom, coeffs, normalized=True)
 
     # -- structure
@@ -377,15 +368,8 @@ class Poly:
                 return i
         raise ValueError("the zero polynomial has no valuation")
 
-    def coefficient(self, i: int):
-        if i < 0:
-            raise IndexError("negative exponent")
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.dom.from_int(0)
-
     def constant(self):
-        return self.coefficient(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     def __eq__(self, other):
         return (
@@ -422,7 +406,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(dom)
-        out = [dom.from_int(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
@@ -439,8 +423,7 @@ class Poly:
             raise ValueError("use exact_div_monomial for negative shifts")
         if not self.coeffs:
             return self
-        zero = self.dom.from_int(0)
-        return Poly(self.dom, (zero,) * k + self.coeffs, normalized=True)
+        return Poly(self.dom, (0,) * k + self.coeffs, normalized=True)
 
     def exact_div_monomial(self, k: int) -> "Poly":
         """Divide by q^k; the low k coefficients must vanish."""
@@ -526,9 +509,8 @@ class Series:
                 prec = len(coeffs)
             if prec < 0:
                 raise PrecisionError("series precision must be >= 0")
-            zero = dom.from_int(0)
             if len(coeffs) < prec:
-                coeffs = coeffs + [zero] * (prec - len(coeffs))
+                coeffs = coeffs + [0] * (prec - len(coeffs))
             else:
                 coeffs = coeffs[:prec]
             coeffs = tuple(coeffs)
@@ -572,8 +554,7 @@ class Series:
         """Multiply by q^k: prepends k zero coefficients."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        zero = self.dom.from_int(0)
-        return Series(self.dom, (zero,) * k + self.coeffs, self.prec + k, normalized=True)
+        return Series(self.dom, (0,) * k + self.coeffs, self.prec + k, normalized=True)
 
     def __eq__(self, other):
         return (
@@ -616,7 +597,7 @@ class Series:
         dom = self._same_dom(other)
         n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
-        out = [dom.from_int(0)] * n
+        out = [0] * n
         for i in range(n):
             ca = a[i]
             if ca:
@@ -634,10 +615,7 @@ class Series:
         dom = self.dom
         if self.prec == 0:
             raise PrecisionError("cannot invert a zero-precision series")
-        f0 = self.coeffs[0]
-        if not dom.is_unit(f0):
-            raise ExactDivisionError(f"constant term {f0} is not a unit in {dom}")
-        inv0 = dom.inv(f0)
+        inv0 = dom.inv(self.coeffs[0])
         f = self.coeffs
         out = [inv0]
         for m in range(1, self.prec):
@@ -672,7 +650,7 @@ def det_fraction_free(rows, dom: Domain):
     rows = [[dom.coerce(c) for c in row] for row in rows]
     n = len(rows)
     if n == 0:
-        return dom.from_int(1)
+        return 1
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     if dom is ZZ:
@@ -817,7 +795,7 @@ def _bareiss_generic(dom: Domain, m):
     # one multiplication by an inverse taken once per pivot.
     n = len(m)
     sign = 1
-    prev = dom.from_int(1)
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -826,7 +804,7 @@ def _bareiss_generic(dom: Domain, m):
                     sign = -sign
                     break
             else:
-                return dom.from_int(0)
+                return 0
         pivot = m[k][k]
         inv_prev = dom.inv(prev)
         for i in range(k + 1, n):

@@ -73,7 +73,7 @@ class HFTerm(Record):
             raise ValueError("term gap k must be >= 0")
         if not dom.coerce(self.v):
             raise ValueError("term coefficient v must be nonzero")
-        if self.d.constant() != dom.from_int(1):
+        if self.d.constant() != 1:
             raise ValueError(f"denominator must have constant term 1, got {self.d}")
         if self.d.degree() > self.k + 1:
             raise ValueError(

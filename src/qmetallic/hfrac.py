@@ -51,7 +51,7 @@ def alg_step(model: Model) -> AlgStepResult:
         C* = -A q^2 / a.
     All divisions are exact; a failing one signals a corrupted model.
     The step runs in the model's own ring, so the lowest coefficient a
-    must be a unit there (ExactDivisionError otherwise).
+    must be a unit there (`inv` raises ExactDivisionError otherwise).
 
     The step works on coefficient lists with plain operators: D comes
     from one truncated power-series division, the product A D is formed
@@ -64,18 +64,12 @@ def alg_step(model: Model) -> AlgStepResult:
     ac, bc, cc = model.a.coeffs, model.b.coeffs, model.c.coeffs
     k = model.a.valuation()
     a = ac[k]
-    if not dom.is_unit(a):
-        raise ExactDivisionError(
-            f"lowest coefficient {a} of A is not invertible in {dom}; "
-            "map the model into a field first"
-        )
     inv_a = dom.inv(a)
-    zero = dom.from_int(0)
 
     # D = a B/(A/q^k) - a c1 q^(k+1) mod q^(k+2). D (A/q^k) = a B gives
     # d_m = b_m - (u_1 d_(m-1) + ... + u_m d_0)/a with u_i = A_(k+i), so
     # each d_m, once known, is taken off the later coefficients
-    d = list(bc[:k + 2]) + [zero] * (k + 2 - len(bc))
+    d = list(bc[:k + 2]) + [0] * (k + 2 - len(bc))
     if len(cc) > 1:
         d[k + 1] -= a * cc[1]
     u_terms = [(i, inv_a * u) for i, u in enumerate(ac[k + 1:2 * k + 2], 1) if u]
@@ -95,7 +89,7 @@ def alg_step(model: Model) -> AlgStepResult:
     # E = A D - a q^k B vanishes to order 2k+1, because D matches
     # a q^k B/A that far; it carries the one product A D into A* and B*
     d_terms = [(j, dj) for j, dj in enumerate(d) if dj]
-    e = [zero] * max(len(ac) + len(d) - 1, len(bc) + k)
+    e = [0] * max(len(ac) + len(d) - 1, len(bc) + k)
     for i, x in enumerate(ac[k:], k):
         if x:
             for j, dj in d_terms:
@@ -105,7 +99,7 @@ def alg_step(model: Model) -> AlgStepResult:
 
     # A* q^(2k+2) = -D E/a - a q^(2k) C
     e_terms = [(j, x) for j, x in enumerate(e) if x]
-    num = [zero] * max(len(e) + len(d) - 1, len(cc) + 2 * k)
+    num = [0] * max(len(e) + len(d) - 1, len(cc) + 2 * k)
     for i, dj in d_terms:
         s = -inv_a * dj
         for j, x in e_terms:
@@ -127,7 +121,7 @@ def alg_step(model: Model) -> AlgStepResult:
     b_next = [two_inv_a * x for x in e[k:]]
     for j, x in enumerate(bc):
         b_next[j] += x
-    c_next = [zero, zero] + [-inv_a * x for x in ac]
+    c_next = [0, 0] + [-inv_a * x for x in ac]
     b_pol, c_pol = Poly._reduced(dom, b_next), Poly._reduced(dom, c_next)
     return AlgStepResult(
         k=k, a=a, d=d_pol, next_model=Model(a_next, b_pol, c_pol).validate()
@@ -460,14 +454,13 @@ def hankel_values_from_hfraction(H: PeriodicHFraction, count: int) -> list:
     dom = H.dom
     if count < 0:
         raise ValueError("count must be >= 0")
-    zero = dom.from_int(0)
-    out = [zero] * count
+    out = [0] * count
     if count == 0:
         return out
-    out[0] = dom.from_int(1)
+    out[0] = 1
     s = 0
-    delta = dom.from_int(1)
-    running = dom.from_int(1)
+    delta = 1
+    running = 1
     # (v, k) of each stored term, read once: the walk goes through the
     # head and preamble, then around the cycle for as long as it needs
     terms = [(dom.coerce(t.v), t.k) for t in (H.head, *H.preamble)]

@@ -64,7 +64,7 @@ class Model(Record):
             raise ValueError("model polynomials live in different domains")
         if self.a.is_zero():
             raise ValueError("model needs A != 0")
-        if self.b.constant() != dom.from_int(1):
+        if self.b.constant() != 1:
             raise ValueError(f"model needs B(0) = 1, got {self.b.constant()}")
         if self.c.is_zero():
             raise ValueError("model needs C != 0")
@@ -115,8 +115,7 @@ def series_of_model(model: Model, prec: int) -> Series:
     dom = model.dom
     if prec <= 0:
         return Series.zero(dom, max(prec, 0))
-    zero = dom.from_int(0)
-    a = list(model.a.coeffs) + [zero] * max(0, prec - len(model.a.coeffs))
+    a = list(model.a.coeffs) + [0] * max(0, prec - len(model.a.coeffs))
     b_terms = [(i, bi) for i, bi in enumerate(model.b.coeffs) if i and bi]
     c_terms = [(i, ci) for i, ci in enumerate(model.c.coeffs) if ci]
     b0_inv = dom.inv(model.b.coeffs[0])

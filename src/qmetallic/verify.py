@@ -607,7 +607,7 @@ def modp_analysis(
     if all(c % p == 0 for c in exact.a.coeffs):
         # the shifted series vanishes mod p: fraction degenerates, all
         # determinants past index 0 are zero
-        fp_vals = [dom.from_int(1)] + [dom.from_int(0)] * (hankel_window - 1)
+        fp_vals = [1] + [0] * (hankel_window - 1)
         checks.append(
             _compare_lists(
                 "hankel_mod_p_two_routes",

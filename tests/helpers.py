@@ -5,7 +5,7 @@ from qmetallic import HFTerm, PeriodicHFraction, Poly, Series, ZZ
 
 def term(triple, dom=ZZ):
     k, v, d = triple
-    return HFTerm(k=k, v=dom.from_int(v), d=Poly(dom, d)).validate()
+    return HFTerm(k=k, v=dom.coerce(v), d=Poly(dom, d)).validate()
 
 
 def fraction(head, cycle, dom=ZZ):
@@ -25,4 +25,4 @@ def term_tuple(t):
 def series(coeffs, prec=None, dom=ZZ):
     if prec is None:
         prec = len(coeffs)
-    return Series(dom, [dom.from_int(c) for c in coeffs][:prec], prec)
+    return Series(dom, [dom.coerce(c) for c in coeffs][:prec], prec)

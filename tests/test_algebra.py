@@ -4,6 +4,7 @@ import ast
 import itertools
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -117,8 +118,8 @@ def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError):
         prime_field(6)
     f5 = prime_field(5)
-    assert f5.reduce(f5.from_int(3) * f5.from_int(4)) == f5.from_int(2)
-    assert f5.inv(f5.from_int(2)) == f5.from_int(3)
+    assert f5.reduce(f5.coerce(3) * f5.coerce(4)) == f5.coerce(2)
+    assert f5.inv(f5.coerce(2)) == f5.coerce(3)
 
 
 def test_prime_fields_built_apart_are_one_value_and_one_key():
@@ -128,6 +129,50 @@ def test_prime_fields_built_apart_are_one_value_and_one_key():
     assert a is not b and a == b and hash(a) == hash(b)
     ma, mb = metallic_model(3).map_domain(a), metallic_model(3).map_domain(b)
     assert ma == mb and hash(ma) == hash(mb) and len({ma, mb}) == 1
+
+
+# --- the ring interface: `inv` is the one unit test ---------------------------
+
+
+NON_UNITS = [(ZZ, 0), (ZZ, 2), (ZZ, -3), (QQ, 0), (prime_field(7), 0),
+             (prime_field(7), 7), (prime_field(7), 14)]
+
+
+@pytest.mark.parametrize("dom, a", NON_UNITS, ids=[f"{d}-{a}" for d, a in NON_UNITS])
+def test_inv_refuses_every_non_unit(dom, a):
+    with pytest.raises(ExactDivisionError):
+        dom.inv(a)
+
+
+def test_inv_of_a_unit_is_its_inverse():
+    assert ZZ.inv(1) == 1 and ZZ.inv(-1) == -1
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(QQ.inv(1)) is Fraction and QQ.inv(1) == 1
+    f7 = prime_field(7)
+    assert [f7.inv(a) for a in range(1, 7)] == [1, 4, 5, 2, 3, 6]
+    assert f7.inv(10) == 5
+
+
+def test_rational_results_hold_only_ints_and_fractions():
+    # zero and one are the ints 0 and 1 over QQ too; no operation may
+    # turn them, or anything else, into a float
+    from qmetallic import greedy_hfraction, hfraction_of_quadratic, shifted_model_chain
+
+    def _exact(values):
+        return {type(c) for c in values} <= {int, Fraction}
+
+    def term_values(H):
+        return [c for t in (H.head, *H.preamble, *H.cycle) for c in (t.v, *t.d.coeffs)]
+
+    fallback = hfraction_of_quadratic(shifted_model_chain(3, 5))
+    assert fallback.dom == QQ and fallback.cycle
+    assert _exact(term_values(fallback))
+    f = Series(QQ, [1, 0, Fraction(1, 2), 0, 3, Fraction(-1, 3), 0, 2], 8)
+    assert _exact(term_values(greedy_hfraction(f.shift_up(1), 4)))
+    assert _exact(f.invert().coeffs)
+    assert _exact(Series(QQ, [1], 6).invert().coeffs)
+    for rows in ([], [[0, 1], [1, 0]], [[1, 2], [2, 4]], [[Fraction(1, 2), 1], [3, 0]]):
+        assert _exact([det_fraction_free(rows, QQ)])
 
 
 # --- prime-field arithmetic against ZZ/QQ ---------------------------------------
@@ -396,8 +441,6 @@ def test_leading_minors_rejects_non_square_input():
 
 
 def test_leading_minors_refuses_entries_that_are_not_int():
-    from fractions import Fraction
-
     # the update divides with //: this matrix gave the minors
     # [1, 1/2, -1], where its determinant is -3/4
     half = Fraction(1, 2)
@@ -410,13 +453,18 @@ def test_leading_minors_refuses_entries_that_are_not_int():
 
 
 def test_determinant_over_rationals_and_prime_fields():
-    from fractions import Fraction
-
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert det_fraction_free(rows, QQ) == Fraction(1, 14) - Fraction(1, 15)
     f7 = prime_field(7)
-    rows = [[f7.from_int(3), f7.from_int(5)], [f7.from_int(2), f7.from_int(6)]]
-    assert det_fraction_free(rows, f7) == f7.from_int(1)
+    rows = [[f7.coerce(3), f7.coerce(5)], [f7.coerce(2), f7.coerce(6)]]
+    assert det_fraction_free(rows, f7) == f7.coerce(1)
+    # a zero pivot makes the row-pivoting kernel swap rows, which flips
+    # the sign: at the first step, and at the second of the 3 x 3 one
+    assert det_fraction_free([[0, 1], [1, 0]], QQ) == -1
+    assert det_fraction_free([[0, 1], [1, 0]], f7) == 6
+    rows = [[1, 2, 3], [2, 4, 5], [1, 0, 1]]
+    assert det_fraction_free(rows, QQ) == -2
+    assert det_fraction_free(rows, f7) == 5
 
 
 @settings(max_examples=200, deadline=None)

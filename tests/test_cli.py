@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -461,6 +462,9 @@ TRACER_LAYERS = [
     "hfrac.template", "hfrac.formula", "cfrac", "verify.checks",
     "qseries.series", "verify.modp", "verify.is_prime",
 ]
+# per-layer metrics that bench/run.py computes from a whole traced pass
+# (its wall time, and the bytes the requests print), not from a layer
+RUN_METRICS = {"trace.wall_s", "trace.overhead_ratio", "cli.output_bytes"}
 
 
 def test_bench_tracer_still_wraps_every_layer():
@@ -482,7 +486,24 @@ def test_bench_tracer_still_wraps_every_layer():
         text=True,
     )
     assert r.returncode == 0, r.stderr
-    assert ast.literal_eval(r.stdout) == TRACER_LAYERS
+    installed = ast.literal_eval(r.stdout)
+    # Every per-layer metric that BENCHMARK.json declares must come from a
+    # layer the tracer installs. A change that deleted `det_fraction_free`,
+    # the only target of the `algebra.det` layer, was refused for this:
+    # its traced `oracle` run lacked the five `algebra.det.*` metrics and
+    # was rejected as malformed output, although it exited 0.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    layers = set(installed) | set(spans.ALWAYS_INSTALLED)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    unserved = [
+        m["name"] for m in declared
+        if m["name"] not in RUN_METRICS
+        and spans.LAYER_METRICS.get(m["name"], (None,))[0] not in layers
+    ]
+    assert not unserved, f"BENCHMARK.json metrics no installed layer serves: {unserved}"
+    assert installed == TRACER_LAYERS
 
 
 def test_missing_required_argument_exits_2():

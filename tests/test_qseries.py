@@ -142,7 +142,7 @@ def reference_series_of_model(model, prec):
     dom = model.dom
     if prec <= 0:
         return Series.zero(dom, max(prec, 0))
-    zero = dom.from_int(0)
+    zero = dom.coerce(0)
     a, b, c = (list(p.coeffs) + [zero] * prec for p in (model.a, model.b, model.c))
     b0_inv = dom.inv(b[0])
     f, g = [], []
@@ -166,8 +166,8 @@ def random_model(rng, dom):
 
     a = [coeff() for _ in range(rng.randint(1, 5))]
     a[0] = dom.coerce(rng.choice([-2, -1, 1, 3]))  # A != 0
-    b = [dom.from_int(1)] + [coeff() for _ in range(rng.randint(0, 6))]
-    c = [dom.from_int(0)] + [coeff() for _ in range(rng.randint(2, 7))]
+    b = [dom.coerce(1)] + [coeff() for _ in range(rng.randint(0, 6))]
+    c = [dom.coerce(0)] + [coeff() for _ in range(rng.randint(2, 7))]
     for i in rng.sample(range(1, len(c)), 2):
         c[i] = dom.coerce(rng.choice([-2, -1, 1, 2]))
     return Model(Poly(dom, a), Poly(dom, b), Poly(dom, c)).validate()

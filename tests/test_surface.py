@@ -74,8 +74,12 @@ def test_deleted_members_are_gone():
     # the closed forms divide by powers of 1 - q with running sums
     assert not {"divrem", "exact_div"} & set(vars(Poly))
     assert not {"div", "mul_poly", "coefficient"} & set(vars(Series))
+    # one ring interface: zero and one are the ints 0 and 1, and `inv` is
+    # the one unit test; `Poly.constant` reads the constant term itself
+    assert not hasattr(Poly, "coefficient")
     for dom in (ZZ, QQ, prime_field(7)):
-        assert not hasattr(dom, "exact_div")
+        for member in ("exact_div", "from_int", "is_unit"):
+            assert not hasattr(dom, member), (dom, member)
     assert not hasattr(HankelReport, "csv_rows")
     assert not hasattr(SupportProfile, "to_json_dict")
     assert SupportProfile._fields == ("k_seq", "s_seq", "eps_seq")

@@ -98,7 +98,7 @@ def test_bruteforce_rejects_negative_arguments():
 
 def test_window_refuses_a_series_off_the_integers():
     # the one-pass kernel divides with //: over QQ it would floor, silently
-    f = Series(QQ, [QQ.from_int(c) / 2 for c in (1, 3, 2, 5, 7)], 5)
+    f = Series(QQ, [QQ.coerce(c) / 2 for c in (1, 3, 2, 5, 7)], 5)
     with pytest.raises(ValueError, match="over ZZ"):
         hankel_window(f, 0, 3)
 
