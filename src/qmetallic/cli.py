@@ -32,11 +32,14 @@ class UsageError(Exception):
 
 def _csv_cell(v) -> str:
     # a missing value is an empty cell; negative numbers are quoted so
-    # spreadsheet importers keep them as text
+    # spreadsheet importers keep them as text, and so is a cell holding a
+    # comma or a quote, with its quotes doubled (RFC 4180)
     if v is None:
         return ""
     s = str(v)
-    return f'"{s}"' if isinstance(v, int) and v < 0 else s
+    if "," in s or '"' in s or isinstance(v, int) and v < 0:
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def _csv_table(header, rows) -> str:
@@ -211,10 +214,11 @@ def _cmd_modp(args) -> tuple:
         lines.append(
             f"fraction stream: preperiod={r.hfraction_preperiod} "
             f"period={r.hfraction_period}"
-            + (" (terminated)" if r.hfraction_terminated else "")
         )
         lines.append(
-            f"determinant stream: preperiod={r.hankel_preperiod} "
+            f"determinant stream: no period within {r.hankel_window} values"
+            if r.hankel_period is None
+            else f"determinant stream: preperiod={r.hankel_preperiod} "
             f"period={r.hankel_period} (window {r.hankel_window})"
         )
     lines += [_check_line(c) for c in r.checks]

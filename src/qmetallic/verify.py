@@ -108,9 +108,9 @@ class HankelReport(Record):
 
 class ModpReport(Record):
     """Cycle data of a prime-field fraction run and its determinant
-    stream. preperiod/period fields are None when the run was
-    inconclusive (no cycle within max_steps); inconclusive is not a
-    refutation, so `checks` only contains what could be compared."""
+    stream. Periods are None, with no checks, when no cycle closed within
+    max_steps (inconclusive, not a refutation); the determinant ones
+    alone are None when no period covers half of `hankel_window`."""
 
     n: int
     ell: int
@@ -557,7 +557,7 @@ def check_stream_symmetries(n: int) -> list:
 
 def _ultimate_period(vals):
     """Empirical (preperiod, period) of a sequence window, or None when
-    no period shows at least twice within the window.
+    no period shows at least twice, over at least half the window.
 
     Among all candidates the one with the shortest preperiod wins (then
     the shortest period): streams here are mostly zeros, so a trailing
@@ -570,7 +570,7 @@ def _ultimate_period(vals):
         while i >= 0 and vals[i] == vals[i + d]:
             i -= 1
         e = i + 1
-        if e + 2 * d <= L and (best is None or (e, d) < best):
+        if e + 2 * d <= L and 2 * e <= L and (best is None or (e, d) < best):
             best = (e, d)
             if e == 0:
                 break
@@ -580,88 +580,55 @@ def _ultimate_period(vals):
 def modp_analysis(
     n: int, ell: int, p: int, max_steps: int = 4000, hankel_window: int = 61
 ) -> ModpReport:
-    """Run the expansion over GF(p) on the ell-fold shifted model and
-    report cycle data for the fraction term stream and the determinant
-    stream, plus the reduction cross-check.
+    """Reduce the ell-fold shifted model (built over ZZ) mod p, expand it
+    and report the cycle of the fraction terms and the period of the
+    determinant stream. No cycle within max_steps gives an inconclusive
+    report: periods None, no check. Otherwise the first `hankel_window`
+    exact determinants, mod p, are compared with the GF(p) product
+    formula, and the determinant period is read off 3 * (cycle span) *
+    (p - 1) values, clamped to 150..4000 (None if no candidate covers
+    half of them).
 
-    The model is built exactly over the integers and then reduced, so
-    its defining constraints survive verbatim. If no cycle (and no
-    termination) appears within max_steps, the report is inconclusive;
-    periods are None and only the conclusively computable checks run.
+    No rational root needs a path. Phi_n mod p is the power-series root
+    of q F^2 + B F - 1 = 0, B = (1 + q^n)(1 - q) - q [n]_q. Write F = P/Q
+    in lowest terms over GF(p)(q). Then q P^2 + B P Q = Q^2, so P | Q^2
+    and Q | q P^2: P is a constant and Q divides q. Q(0) != 0 as F is a
+    power series, so F = f_0 = 1 and B = 1 - q; but B has the term
+    -q^(n+1). So every shift (Phi_n - sum_{i<ell} f_i q^i)/q^ell is
+    irrational over GF(p)(q): the shifted model's A never vanishes mod p
+    (the root would be 0), and the expansion never terminates.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if ell < 0:
         raise ValueError("shift must be >= 0")
-    dom = prime_field(p)
-    exact = shifted_model_chain(n, ell)
-    checks = []
-
+    model_p = shifted_model_chain(n, ell).map_domain(prime_field(p))
+    hf = hfraction_of_quadratic(model_p, max_steps)
+    if not hf.cycle:
+        return ModpReport(
+            n=n, ell=ell, p=p, max_steps=max_steps, conclusive=False,
+            hfraction_terminated=hf.terminated,
+        )
     exact_window = (
         hankel_formula_values(n, ell, hankel_window)
         if ell <= n + 1
         else hankel_bruteforce_values(n, ell, hankel_window)
     )
-    reduced_exact = [v % p for v in exact_window]
-
-    if all(c % p == 0 for c in exact.a.coeffs):
-        # the shifted series vanishes mod p: fraction degenerates, all
-        # determinants past index 0 are zero
-        fp_vals = [1] + [0] * (hankel_window - 1)
-        checks.append(
-            _compare_lists(
-                "hankel_mod_p_two_routes",
-                reduced_exact,
-                fp_vals,
-                detail=f"n={n} ell={ell} p={p} (series vanishes mod p)",
-            )
-        )
-        return ModpReport(
-            n=n, ell=ell, p=p, max_steps=max_steps, conclusive=True,
-            hfraction_preperiod=0, hfraction_period=0, hfraction_terminated=True,
-            hankel_preperiod=1, hankel_period=1, hankel_window=hankel_window,
-            checks=tuple(checks),
-        )
-
-    model_p = exact.map_domain(dom).validate()
-    hf = hfraction_of_quadratic(model_p, max_steps)
-    conclusive = bool(hf.cycle) or hf.terminated
-    if not conclusive:
-        return ModpReport(
-            n=n, ell=ell, p=p, max_steps=max_steps, conclusive=False,
-            hankel_window=0, checks=(),
-        )
-
-    if hf.terminated:
-        pre, per = hf.n_stored_terms(), 0
-    else:
-        pre, per = 1 + len(hf.preamble), len(hf.cycle)
-
-    fp_vals = hankel_values_from_hfraction(hf, hankel_window)
-    checks.append(
-        _compare_lists(
-            "hankel_mod_p_two_routes",
-            reduced_exact,
-            fp_vals,
-            detail=f"n={n} ell={ell} p={p} window={hankel_window}",
-        )
+    check = _compare_lists(
+        "hankel_mod_p_two_routes",
+        [v % p for v in exact_window],
+        hankel_values_from_hfraction(hf, hankel_window),
+        detail=f"n={n} ell={ell} p={p} window={hankel_window}",
     )
-
-    if hf.terminated:
-        span = sum(1 + t.k for t in hf.stream(hf.n_stored_terms()))
-        window = span + 4
-    else:
-        span = sum(1 + t.k for t in hf.cycle)
-        window = min(4000, max(150, 3 * span * max(p - 1, 1)))
-    stream = hankel_values_from_hfraction(hf, window)
-    found = _ultimate_period(stream)
+    span = sum(1 + t.k for t in hf.cycle)
+    window = min(4000, max(150, 3 * span * (p - 1)))
+    found = _ultimate_period(hankel_values_from_hfraction(hf, window))
     h_pre, h_per = found if found else (None, None)
     return ModpReport(
         n=n, ell=ell, p=p, max_steps=max_steps, conclusive=True,
-        hfraction_preperiod=pre, hfraction_period=per,
-        hfraction_terminated=hf.terminated,
+        hfraction_preperiod=1 + len(hf.preamble), hfraction_period=len(hf.cycle),
         hankel_preperiod=h_pre, hankel_period=h_per, hankel_window=window,
-        checks=tuple(checks),
+        checks=(check,),
     )
 
 

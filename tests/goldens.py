@@ -178,15 +178,16 @@ CLI_DIGESTS = [
 # that has one, with the formula route corrupted as in
 # test_cli.corrupt_formula_route (the value at j = 3 of every ell = 1
 # window is raised by one), and an inconclusive prime-field run. The CSV
-# of a failing `hankel` or `modp` ends with the failed check's text line.
+# of a failing `hankel` or `modp` ends with the failed check's text line,
+# as one quoted cell.
 
 CLI_FAILING_DIGESTS = [
     ("hankel --n 2 --ell 1 --horizon 12 --source both --format text", 1, "42dcfbf39f56d5299c4ef248b3ccc931d6ff58150b14aca6de1a6c1890b0293b"),
     ("hankel --n 2 --ell 1 --horizon 12 --source both --format json", 1, "5b63b58f2af99929faddf73433de6d53b3fb7893e76a8823845aa998b1964921"),
-    ("hankel --n 2 --ell 1 --horizon 12 --source both --format csv", 1, "40f35af423f38c54d74b82705313ca755a4b7eff9e0a6fc5664364b3538d84c7"),
+    ("hankel --n 2 --ell 1 --horizon 12 --source both --format csv", 1, "5c947cd41dd37b9c0ebaa34f55f7adea860de9d1eaa52f3fb09344738522cf87"),
     ("modp --n 2 --ell 1 --p 7 --format text", 1, "5c0c66b4471481921f90d2a483127d885aff3f3bae5ed8ca8784e06e154cef60"),
     ("modp --n 2 --ell 1 --p 7 --format json", 1, "0c8e8fa3c61e43575b6eb01a2c27d38f1d4a25c2e080aec7a1cfe8547e99c67f"),
-    ("modp --n 2 --ell 1 --p 7 --format csv", 1, "723b62f876c0bcee5a60f4c1df9a066d8da134fe01a7dd5158b893d7c7ab3225"),
+    ("modp --n 2 --ell 1 --p 7 --format csv", 1, "f1b6015f9dc845338a7f112ec9a2c393fca1a18eba0c567ad7f9bbc987489a7a"),
     ("verify --suite thmB --n 1..2 --format text", 1, "9f3cb92f3de6a4ba9951f4b1a0c985f9d8c5afae3223cc48656c1e5032092537"),
     ("verify --suite thmB --n 1..2 --format json", 1, "3a86db53d2fbb0359512877a8e6e1f1217c41ad88eb2aeb654bb5aa4f0abe4e0"),
     ("verify --suite thmB --n 1..2 --format csv", 1, "bb655dabd35a82e47d3819716768cbbefb6f777a063503ea0d70491c77e21e9d"),

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, schemas, exit codes, determinism."""
 
 import ast
+import csv
 import hashlib
 import importlib.util
 import json
@@ -216,6 +217,13 @@ def test_modp_json(capsys):
     assert payload["conclusive"] is True and payload["hfraction_period"] is not None
 
 
+def test_modp_text_names_an_unresolved_determinant_period(capsys):
+    code, out, _ = run(["modp", "--n", "5", "--ell", "17", "--p", "5"], capsys)
+    assert code == 0
+    assert "determinant stream: no period within 4000 values\n" in out
+    assert "None" not in out
+
+
 def test_modp_requires_prime(capsys):
     code, _, err = run(["modp", "--n", "3", "--p", "4"], capsys)
     assert code == 2 and "prime" in err
@@ -307,6 +315,32 @@ def test_failing_checks_print_the_pinned_bytes(argv, code, digest, capsys, monke
     got_code, out, _ = run(argv.split(), capsys)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CSV_LINES = [(argv, code, False) for argv, code, _ in PINNED if argv.endswith("csv")]
+CSV_LINES += [
+    (argv, code, True) for argv, code, _ in goldens.CLI_FAILING_DIGESTS
+    if argv.endswith("csv")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, corrupt", CSV_LINES, ids=[c[0] for c in CSV_LINES]
+)
+def test_csv_rows_read_back_with_the_header_width(
+    argv, code, corrupt, capsys, monkeypatch
+):
+    # a failed check's line may end the table as one cell, quoted as a
+    # whole although it holds a comma
+    if corrupt:
+        corrupt_formula_route(monkeypatch)
+    got_code, out, _ = run(argv.split(), capsys)
+    assert got_code == code
+    header, *rows = csv.reader(out.splitlines())
+    if code == 1 and len(rows[-1]) != len(header):
+        last = rows.pop()
+        assert len(last) == 1 and last[0].startswith("FAIL "), last
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED, ids=[c[0] for c in PINNED])

@@ -1,7 +1,7 @@
 """Quadratic-model expansion, shifted models, support profiles."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmetallic import (
     ExactDivisionError,
@@ -13,6 +13,7 @@ from qmetallic import (
     expected_hfraction,
     greedy_hfraction,
     hankel_values_from_hfraction,
+    hankel_window,
     hfraction_of_quadratic,
     hfraction_of_shift,
     metallic_model,
@@ -22,6 +23,7 @@ from qmetallic import (
     PeriodicHFraction,
     prime_field,
     run_suite,
+    series_of_model,
     shift_model,
     shifted_metallic_model,
     shifted_model_chain,
@@ -565,6 +567,33 @@ def test_determinants_from_bare_prefix_fail_past_certificate():
     assert not prefix.terminated and not prefix.cycle
     with pytest.raises(ValueError):
         hankel_values_from_hfraction(prefix, 40)
+
+
+_coeff = st.integers(-2, 2)
+
+
+@st.composite
+def drawn_integer_models(draw):
+    """An integer model with A of degree <= 3, B = 1 + ..., C = q (...) and
+    coefficients in -2..2. Most meet a non-unit step and expand over QQ."""
+    a = draw(st.lists(_coeff, min_size=1, max_size=4).filter(any))
+    b = [1] + draw(st.lists(_coeff, max_size=3))
+    c = [0] + draw(st.lists(_coeff, min_size=1, max_size=3).filter(any))
+    return Model(Poly(ZZ, a), Poly(ZZ, b), Poly(ZZ, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_integer_models())
+@example(Model(Poly(ZZ, [2, 1]), Poly(ZZ, [1, 1]), Poly.q(ZZ)))  # v = -2, 9/4, 2, 9, ...
+def test_product_formula_matches_brute_force_on_drawn_models(model):
+    # the two routes meet on every index the stored terms certify: all of
+    # them for a cycle or a finite fraction, up to the last s for a prefix
+    hf = hfraction_of_quadratic(model, 30)
+    count = 60
+    if not hf.cycle and not hf.terminated:
+        count = min(count, 1 + sum(1 + t.k for t in hf.stream(hf.n_stored_terms())))
+    brute = hankel_window(series_of_model(model, 2 * count), 0, count)
+    assert hankel_values_from_hfraction(hf, count) == brute
 
 
 def reference_hankel_values(H, count):

@@ -44,7 +44,9 @@ from qmetallic import (
     metallic_step_cap,
     modp_analysis,
     motzkin_series,
+    prime_field,
     run_suite,
+    shifted_model_chain,
     support_membership,
     support_profile,
     support_sets,
@@ -791,6 +793,31 @@ def test_modp_beyond_the_formula_range():
     assert rep.conclusive and rep.passed
 
 
+def test_modp_leaves_a_period_inside_a_support_gap_unresolved():
+    # the 4000-value window ends in a run of zeros, not a period of 1
+    rep = modp_analysis(5, 17, 5)
+    assert rep.conclusive and rep.passed
+    assert (rep.hfraction_preperiod, rep.hfraction_period) == (1, 1134)
+    assert rep.hankel_window == 4000
+    assert rep.hankel_preperiod is None and rep.hankel_period is None
+
+
+def test_shifted_metallic_series_stay_irrational_mod_small_primes():
+    # modp_analysis has no rational-root branch: its docstring proves that
+    # no shifted model reduces to A = 0 and no expansion terminates mod p
+    cycles = 0
+    for n in range(1, 6):
+        for ell in range(2 * n + 4):
+            model = shifted_model_chain(n, ell)
+            for p in (2, 3, 5, 7):
+                assert any(c % p for c in model.a.coeffs), (n, ell, p)
+                hf = hfraction_of_quadratic(model.map_domain(prime_field(p)), 400)
+                assert not hf.terminated, (n, ell, p)
+                cycles += bool(hf.cycle)
+    # 3 of the 200 expansions close no cycle within 400 steps
+    assert cycles == 197
+
+
 def test_modp_rejects_composite_moduli():
     with pytest.raises(ValueError):
         modp_analysis(3, 0, 4)
@@ -831,6 +858,8 @@ def test_ultimate_period_detector():
     # the shortest preperiod wins: a trailing run of equal values must
     # not masquerade as period 1
     assert _ultimate_period([1, 0, 0, 9, 0, 0, 9, 0, 0]) == (1, 3)
+    # a periodic tail shorter than half the window is no period
+    assert _ultimate_period([1, 2, 3, 4, 5, 6, 0, 0]) is None
 
 
 # --- exploratory scans -----------------------------------------------------------------
