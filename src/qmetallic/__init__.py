@@ -33,7 +33,7 @@ _EXPORTS = {
              "hf_to_artin artin_to_hf",
     "hfrac": "AlgStepResult alg_step hfraction_of_quadratic expected_hfraction "
              "metallic_step_cap shift_model shifted_metallic_model "
-             "shifted_model_chain truncate_hfraction_stream hfraction_of_shift "
+             "shifted_model_chain hfraction_of_shift "
              "SupportProfile support_profile hankel_values_from_hfraction",
     "oracle": "hankel_bruteforce_values hankel_window",
     "qseries": "q_integer angle_bracket Model metallic_model metallic_series "

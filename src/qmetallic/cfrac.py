@@ -84,12 +84,10 @@ class HFTerm(Record):
     def to_json_dict(self) -> dict:
         """Portable encoding {k, a, v, D}; a = -v is the raw step
         coefficient, D the denominator coefficients in ascending order."""
-        dom = self.d.dom
-        v = dom.coerce(self.v)
         return {
             "k": self.k,
-            "a": _scalar_json(dom.reduce(-v)),
-            "v": _scalar_json(v),
+            "a": _scalar_json(self.d.dom.reduce(-self.v)),
+            "v": _scalar_json(self.v),
             "D": [_scalar_json(c) for c in self.d.coeffs],
         }
 
@@ -346,11 +344,10 @@ def hf_to_artin(hf: PeriodicHFraction, nterms: int) -> RegularCF:
     quotients = []
     c = None
     for j, t in enumerate(terms):
-        vj = dom.coerce(t.v)
         if j == 0:
-            c = dom.inv(vj)
+            c = dom.inv(t.v)
         else:
-            c = dom.reduce(-dom.inv(vj * c))
+            c = dom.reduce(-dom.inv(t.v * c))
         quotients.append((t.d.scale(c), t.k + 1))
     complete = hf.terminated and len(terms) == hf.n_stored_terms()
     return RegularCF(tuple(quotients), complete=complete).validate()

@@ -7,13 +7,14 @@ model of the tail series; iterating with cycle detection turns the whole
 expansion into a finite object whenever the model triples repeat. The
 metallic models do repeat, with cycle length 6n-4, and the module also
 builds that cycle directly from its closed-form block structure, the
-models of coefficient-shifted series, their fraction expansions by stream
-truncation, and the support bookkeeping (s_p, eps_p) that evaluates every
-Hankel determinant of such a series by a product formula.
+models of coefficient-shifted series, their fraction expansions by
+rotating that cycle, and the support bookkeeping (s_p, eps_p) that
+evaluates every Hankel determinant of such a series by a product formula.
 
-The expansion runs in the model's own ring. The metallic step
-coefficients are units (+-1), so integer models stay over ZZ; only an
-integer model whose step meets a non-unit is expanded again over QQ.
+The expansion runs in the model's own ring only. The metallic step
+coefficients are units (+-1), so integer models stay over ZZ; a model
+whose step meets a non-unit raises ExactDivisionError, and a caller who
+wants the rationals maps the model there first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .algebra import ExactDivisionError, Poly, QQ, Record, ZZ
+from .algebra import ExactDivisionError, Poly, Record, ZZ
 from .cfrac import HFTerm, PeriodicHFraction
 from .qseries import Model, angle_bracket, metallic_model, metallic_series, q_integer
 
@@ -140,35 +141,21 @@ def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFrac
     inspecting `cycle` and `terminated`.
 
     The expansion runs in the model's own ring. The step divides by the
-    lowest A-coefficient, so an integer model that meets a non-unit one
-    (the metallic models never do) is expanded again over the rationals
-    and mapped back when every emitted term is integral.
+    lowest A-coefficient, so a model that meets a non-unit one (the
+    metallic models never do) raises ExactDivisionError. To expand over
+    the rationals instead, map the model there first.
     """
     model.validate()
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    try:
-        return _expand(model, max_steps)
-    except ExactDivisionError:
-        if model.dom != ZZ:
-            raise
-    out = _expand(model.map_domain(QQ), max_steps)
-    try:
-        return out.map_domain(ZZ)
-    except (ExactDivisionError, TypeError):
-        return out  # genuinely fractional term data stays in the field
-
-
-def _expand(state: Model, max_steps: int) -> PeriodicHFraction:
-    """The alg_step loop of hfraction_of_quadratic, in state's ring."""
-    dom = state.dom
+    dom = model.dom
     terms = []
     seen = {}
     preamble = ()
     cycle = ()
     terminated = False
     while True:
-        key = (state.a, state.b, state.c)
+        key = (model.a, model.b, model.c)
         if key in seen:
             first = seen[key]
             if first == 0:
@@ -182,14 +169,14 @@ def _expand(state: Model, max_steps: int) -> PeriodicHFraction:
             preamble = tuple(terms[1:])
             break
         seen[key] = len(terms)
-        step = alg_step(state)
+        step = alg_step(model)
         v = dom.reduce(-step.a) if dom.reduces else -step.a
         terms.append(HFTerm(k=step.k, v=v, d=step.d).validate())
         if step.next_model is None:
             preamble = tuple(terms[1:])
             terminated = True
             break
-        state = step.next_model
+        model = step.next_model
 
     return PeriodicHFraction(
         head=terms[0], preamble=preamble, cycle=cycle, terminated=terminated
@@ -357,43 +344,17 @@ def shifted_model_chain(n: int, ell: int) -> Model:
     return model
 
 
-def truncate_hfraction_stream(hf: PeriodicHFraction, drop: int) -> PeriodicHFraction:
-    """Hankel fraction of the series left after peeling `drop` leading
-    fraction terms. The term after the dropped ones becomes the new head;
-    its stored coefficient flips sign because head numerators carry +v
-    while later numerators carry -v."""
-    if drop < 0:
-        raise ValueError("cannot drop a negative number of terms")
-    if drop == 0:
-        return hf
-    dom = hf.dom
-    try:
-        new_first = hf.term(drop)
-    except IndexError:
-        raise ValueError(
-            f"fraction has fewer than {drop + 1} terms; nothing left to expose"
-        ) from None
-    head = HFTerm(new_first.k, dom.coerce(-new_first.v), new_first.d)
-    n_pre, n_cyc = len(hf.preamble), len(hf.cycle)
-    if n_cyc:
-        if drop >= n_pre + 1:
-            start = (drop - n_pre) % n_cyc
-            cycle = hf.cycle[start:] + hf.cycle[:start]
-            return PeriodicHFraction(head=head, preamble=(), cycle=cycle)
-        return PeriodicHFraction(head=head, preamble=hf.preamble[drop:], cycle=hf.cycle)
-    rest = tuple(hf.stream(hf.n_stored_terms())[drop + 1 :])
-    return PeriodicHFraction(
-        head=head, preamble=rest, cycle=(), terminated=hf.terminated
-    )
-
-
 def hfraction_of_shift(n: int, ell: int) -> PeriodicHFraction:
     """Hankel fraction of the ell-fold coefficient shift of the
-    q-metallic series, by stream truncation of the full fraction.
+    q-metallic series, by rotation of the full fraction's cycle.
 
     Dropping m terms with m = 3*ell (ell <= n-1), 3n-1 (ell = n), or
     3n (ell = n+1) exposes the fraction of the shifted series directly;
-    no re-expansion is needed. Valid for 0 <= ell <= n+1, where the
+    no re-expansion is needed. The full fraction has no preamble and
+    1 <= m <= 6n-4, so the term after the dropped ones is cycle[m-1]: it
+    becomes the head, its stored coefficient flipped because a head
+    numerator carries +v where a later one carries -v, and the cycle
+    turns to start at cycle[m]. Valid for 0 <= ell <= n+1, where the
     fraction is known; ell = 0 returns expected_hfraction(n) itself.
     """
     if not 0 <= ell <= n + 1:
@@ -409,7 +370,11 @@ def hfraction_of_shift(n: int, ell: int) -> PeriodicHFraction:
         drop = 3 * n - 1
     else:
         drop = 3 * n
-    return truncate_hfraction_stream(expected_hfraction(n), drop)
+    cycle = expected_hfraction(n).cycle
+    t = cycle[drop - 1]
+    return PeriodicHFraction(
+        head=HFTerm(t.k, -t.v, t.d), cycle=cycle[drop:] + cycle[:drop]
+    )
 
 
 class SupportProfile(Record):
@@ -463,8 +428,8 @@ def hankel_values_from_hfraction(H: PeriodicHFraction, count: int) -> list:
     running = 1
     # (v, k) of each stored term, read once: the walk goes through the
     # head and preamble, then around the cycle for as long as it needs
-    terms = [(dom.coerce(t.v), t.k) for t in (H.head, *H.preamble)]
-    cycle = [(dom.coerce(t.v), t.k) for t in H.cycle]
+    terms = [(t.v, t.k) for t in (H.head, *H.preamble)]
+    cycle = [(t.v, t.k) for t in H.cycle]
     i = 0
     while s < count - 1:
         if i == len(terms):

@@ -164,9 +164,9 @@ def test_rational_results_hold_only_ints_and_fractions():
     def term_values(H):
         return [c for t in (H.head, *H.preamble, *H.cycle) for c in (t.v, *t.d.coeffs)]
 
-    fallback = hfraction_of_quadratic(shifted_model_chain(3, 5))
-    assert fallback.dom == QQ and fallback.cycle
-    assert _exact(term_values(fallback))
+    over_qq = hfraction_of_quadratic(shifted_model_chain(3, 5).map_domain(QQ))
+    assert over_qq.dom == QQ and over_qq.cycle
+    assert _exact(term_values(over_qq))
     f = Series(QQ, [1, 0, Fraction(1, 2), 0, 3, Fraction(-1, 3), 0, 2], 8)
     assert _exact(term_values(greedy_hfraction(f.shift_up(1), 4)))
     assert _exact(f.invert().coeffs)

@@ -451,16 +451,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
 
 
 def test_a_qq_expansion_loads_fractions_on_first_use():
-    # the ZZ step meets a non-unit on this model and falls back to QQ,
+    # the ZZ step meets a non-unit on this model, so it is mapped to QQ,
     # whose methods import `fractions` themselves; the digest pins the
     # fraction's JSON and its rendered levels, where ints, Fractions with
     # denominator 1 and proper Fractions each keep their own encoding
     code = """
 import hashlib, json, sys
-from qmetallic import hfrac
+from qmetallic import algebra, hfrac
 model = hfrac.shifted_model_chain(3, 5)
 before = "fractions" in sys.modules
-hf = hfrac.hfraction_of_quadratic(model)
+hf = hfrac.hfraction_of_quadratic(model.map_domain(algebra.QQ))
 levels = [list(map(str, hf.rendered(j))) for j in range(hf.n_stored_terms())]
 text = json.dumps([hf.to_json_dict(), levels], sort_keys=True)
 print(before, "fractions" in sys.modules, hf.dom, hashlib.sha256(text.encode()).hexdigest())

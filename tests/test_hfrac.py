@@ -28,7 +28,6 @@ from qmetallic import (
     shifted_metallic_model,
     shifted_model_chain,
     support_profile,
-    truncate_hfraction_stream,
 )
 from qmetallic import hfrac
 
@@ -229,9 +228,9 @@ def test_step_matches_the_reference_on_a_remainder(monkeypatch):
 
 
 def test_integer_and_rational_expansions_never_reduce(monkeypatch):
-    # the last model meets a non-unit over ZZ and is expanded over QQ
+    # the last model meets a non-unit over ZZ, so it is expanded over QQ
     models = [metallic_model(n) for n in (1, 2, 5)]
-    models += [metallic_model(3).map_domain(QQ), shifted_model_chain(3, 5)]
+    models += [m.map_domain(QQ) for m in (metallic_model(3), shifted_model_chain(3, 5))]
     calls = []
     counted = lambda self, x: calls.append(self) or x
     for dom in (ZZ, QQ):
@@ -348,19 +347,23 @@ def test_metallic_expansion_never_leaves_the_integers(monkeypatch):
         assert hfraction_of_quadratic(metallic_model(n)) == expected_hfraction(n)
 
 
-def test_non_unit_lowest_coefficient_falls_back_to_the_rationals():
+def test_non_unit_lowest_coefficient_raises_over_zz_and_expands_over_qq():
     q = Poly.q(ZZ)
-    # v = 2 is not a unit of ZZ, but every term is integral: mapped back
+    # v = 2 is not a unit of ZZ: the expansion stays in the model's ring
     model = Model(a=Poly(ZZ, [-2]), b=Poly(ZZ, [1]) + q, c=q)
-    with pytest.raises(ExactDivisionError):
-        alg_step(model)
-    hf = hfraction_of_quadratic(model)
+    with pytest.raises(ExactDivisionError, match="2 is not a unit in ZZ"):
+        hfraction_of_quadratic(model)
+    # over QQ every term is integral, so the fraction maps back to ZZ
+    hf = hfraction_of_quadratic(model.map_domain(QQ)).map_domain(ZZ)
     assert hf.dom == ZZ and not hf.preamble and not hf.terminated
     assert term_tuple(hf.head) == (0, 2, [1, 3])
     assert [term_tuple(t) for t in hf.cycle] == [(0, 6, [1, 5])]
 
     # fractional terms stay over QQ
-    hf = hfraction_of_quadratic(Model(a=Poly(ZZ, [2, 1]), b=Poly(ZZ, [1, 1]), c=q), 6)
+    model = Model(a=Poly(ZZ, [2, 1]), b=Poly(ZZ, [1, 1]), c=q)
+    with pytest.raises(ExactDivisionError, match="2 is not a unit in ZZ"):
+        hfraction_of_quadratic(model, 6)
+    hf = hfraction_of_quadratic(model.map_domain(QQ), 6)
     assert hf.dom == QQ and not hf.preamble and not hf.terminated
     as_text = lambda t: (t.k, str(t.v), [str(c) for c in t.d.coeffs])
     assert as_text(hf.head) == (0, "-2", ["1", "-3/2"])
@@ -464,10 +467,11 @@ def rendered(hf, count):
     return [tuple(map(str, hf.rendered(i))) for i in range(count)]
 
 
-def test_shift_fraction_via_truncation_matches_direct_expansion():
-    for n in (2, 3):
+def test_shift_fraction_via_rotation_matches_direct_expansion():
+    for n in range(1, 13):
         for ell in range(1, n + 2):
-            direct = hfraction_of_quadratic(shifted_metallic_model(n, ell))
+            model = shifted_metallic_model(n, ell)
+            direct = hfraction_of_quadratic(model, metallic_step_cap(n))
             assert hfraction_of_shift(n, ell) == direct
 
 
@@ -504,12 +508,6 @@ def test_shift_fraction_values_are_the_shifted_series():
         for ell in range(1, n + 2):
             value = hfraction_of_shift(n, ell).value(prec)
             assert value.coeffs == full.shift_down(ell).truncate(prec).coeffs
-
-
-def test_stream_truncation_rejects_overlong_drops():
-    finite = greedy_hfraction(series([1, 1], prec=16), max_terms=8)
-    with pytest.raises(ValueError):
-        truncate_hfraction_stream(finite, finite.n_stored_terms() + 3)
 
 
 # --- support profiles -------------------------------------------------------------------
@@ -575,7 +573,8 @@ _coeff = st.integers(-2, 2)
 @st.composite
 def drawn_integer_models(draw):
     """An integer model with A of degree <= 3, B = 1 + ..., C = q (...) and
-    coefficients in -2..2. Most meet a non-unit step and expand over QQ."""
+    coefficients in -2..2. Most meet a non-unit step, so the test expands
+    them over QQ."""
     a = draw(st.lists(_coeff, min_size=1, max_size=4).filter(any))
     b = [1] + draw(st.lists(_coeff, max_size=3))
     c = [0] + draw(st.lists(_coeff, min_size=1, max_size=3).filter(any))
@@ -588,7 +587,7 @@ def drawn_integer_models(draw):
 def test_product_formula_matches_brute_force_on_drawn_models(model):
     # the two routes meet on every index the stored terms certify: all of
     # them for a cycle or a finite fraction, up to the last s for a prefix
-    hf = hfraction_of_quadratic(model, 30)
+    hf = hfraction_of_quadratic(model.map_domain(QQ), 30)
     count = 60
     if not hf.cycle and not hf.terminated:
         count = min(count, 1 + sum(1 + t.k for t in hf.stream(hf.n_stored_terms())))

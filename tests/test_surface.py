@@ -38,8 +38,7 @@ PUBLIC_NAMES = [
     "modp_analysis", "motzkin_series", "oracle", "prime_field", "q_integer",
     "q_rational", "q_rational_pair", "qseries", "run_suite", "series_of_model",
     "shift_model", "shifted_metallic_model", "shifted_model_chain",
-    "support_membership", "support_profile", "support_sets",
-    "truncate_hfraction_stream", "verify",
+    "support_membership", "support_profile", "support_sets", "verify",
 ]
 
 # names no CLI path, check or acceptance test needed
@@ -49,6 +48,8 @@ DELETED = [
     (qseries, "q_integer_inv"),
     (hfrac, "hankel_from_hfraction"),
     (hfrac, "_metallic_template"),
+    (hfrac, "truncate_hfraction_stream"),
+    (hfrac, "_expand"),
     (oracle, "hankel_bruteforce"),
     (cli, "_default_precision"),
 ]
