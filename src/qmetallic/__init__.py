@@ -6,14 +6,21 @@ Hankel determinants both by closed formula and by literal determinant
 computation, and cross-checks the structural identities relating them.
 All arithmetic is exact: integers, rationals, or prime fields. No floats.
 
-Importing the package runs none of its six submodules. Each one is put in
-`sys.modules` and on the package as a lazy module
+Importing the package runs none of its eight submodules. Each one is put
+in `sys.modules` and on the package as a lazy module
 (`importlib.util.LazyLoader`), which runs on its first attribute read; a
 public name such as `qmetallic.run_suite` is read from its defining
 module on use. So the command line runs only what a subcommand needs:
 `--version` and a malformed command line run no submodule, `series` runs
-`algebra` and `qseries`, `hfrac` adds `cfrac` and `hfrac`, and every
-other subcommand runs all six.
+`algebra` and `qseries`, `hfrac` adds `cfrac` and `hfrac`, `hankel
+--source formula` adds `reports` to those, `hankel --source both` adds
+`oracle` as well, `hankel --source brute` and `scan` run `algebra`,
+`qseries`, `oracle` and `reports`, and `verify` and `modp` run all
+eight.
+
+The source of each submodule is kept under 18,000 bytes: a request that
+compiles it without a bytecode cache peaks higher in memory the larger
+the module (see `tests/test_surface.py`).
 """
 
 import importlib.util
@@ -27,27 +34,28 @@ SUITES = ("thmA", "thmB", "thmC", "thmD", "thm51", "symmetries", "baselines", "a
 
 # public names by defining submodule
 _EXPORTS = {
-    "algebra": "ZZ QQ prime_field Poly Series det_fraction_free leading_minors "
-               "is_prime ExactDivisionError PrecisionError",
+    "algebra": "ZZ QQ prime_field Poly det_fraction_free is_prime "
+               "ExactDivisionError PrecisionError",
     "cfrac": "HFTerm PeriodicHFraction greedy_hfraction RegularCF artin_expand "
              "hf_to_artin artin_to_hf",
+    "explicit": "explicit_delta explicit_support_index explicit_delta_sequence "
+                "support_membership support_sets",
     "hfrac": "AlgStepResult alg_step hfraction_of_quadratic expected_hfraction "
              "metallic_step_cap shift_model shifted_metallic_model "
              "shifted_model_chain hfraction_of_shift "
              "SupportProfile support_profile hankel_values_from_hfraction",
-    "oracle": "hankel_bruteforce_values hankel_window",
-    "qseries": "q_integer angle_bracket Model metallic_model metallic_series "
-               "series_of_model q_rational q_rational_pair catalan_series "
-               "motzkin_series",
-    "verify": "CheckResult HankelReport ModpReport ScanReport "
-              "hankel_formula_values hankel_sequence "
-              "check_value_set_and_periodicity gale_robinson_check "
-              "check_contiguity check_hfraction_shape explicit_delta "
-              "explicit_support_index explicit_delta_sequence "
+    "oracle": "leading_minors hankel_bruteforce_values hankel_window",
+    "qseries": "Series q_integer angle_bracket Model metallic_model "
+               "metallic_series series_of_model q_rational q_rational_pair "
+               "catalan_series motzkin_series",
+    "reports": "CheckResult HankelReport ModpReport ScanReport "
+               "hankel_formula_values hankel_sequence conjecture_scan",
+    "verify": "check_value_set_and_periodicity gale_robinson_check "
+              "check_contiguity check_hfraction_shape "
               "check_explicit_reconstruction check_delta_symmetry "
-              "support_membership check_support_membership support_sets "
-              "check_profile_identities check_stream_symmetries modp_analysis "
-              "conjecture_scan baseline_catalan_motzkin run_suite",
+              "check_support_membership check_profile_identities "
+              "check_stream_symmetries modp_analysis baseline_catalan_motzkin "
+              "run_suite",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["SUITES", *_EXPORTS, *_OWNER]

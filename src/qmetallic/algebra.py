@@ -1,20 +1,19 @@
 """Exact coefficient arithmetic.
 
 Domains (integers, rationals, prime fields), dense univariate polynomials,
-truncated power series and fraction-free determinants. Everything here is
-exact; no floating point anywhere. Over ZZ the determinant kernel,
-`leading_minors`, reduces rows left-looking, by dot products, while its
-pivots are +-1 and finishes with Bareiss steps after the first that is
-not; over QQ and GF(p) it is a row-pivoting Bareiss elimination.
+the frozen `Record` base and fraction-free determinants. Everything here
+is exact; no floating point anywhere. Power series (`qseries.Series`)
+and the integer determinant kernel (`oracle.leading_minors`) live beside
+the requests that use them.
 
 Coefficients are plain Python values combined with plain operators
 (`+ - * **`, truthiness for zero tests). GF(p) arithmetic runs on
 unreduced ints and `Domain.reduce` brings each output coefficient back
 into range(p) once; over ZZ and QQ it is the identity. The paths that
-test `Domain.reduces` first skip it there: the `Poly` and `Series`
-operators and `hfrac.alg_step`. The others still call it on every ring:
-`Series.invert`, the determinant kernel of QQ and GF(p)
-(`_bareiss_generic`), `qseries.series_of_model`,
+test `Domain.reduces` first skip it there: the `Poly` and
+`qseries.Series` operators and `hfrac.alg_step`. The others still call
+it on every ring: `Series.invert`, the determinant kernel of QQ and
+GF(p) (`_bareiss_generic`), `qseries.series_of_model`,
 `hfrac.hankel_values_from_hfraction`, the `cfrac` dictionary and
 `cfrac.HFTerm.to_json_dict`.
 
@@ -26,7 +25,7 @@ and 1 in every ring.
 
 from __future__ import annotations
 
-from operator import attrgetter, mul
+from operator import attrgetter
 
 
 class ExactDivisionError(ArithmeticError):
@@ -490,158 +489,13 @@ def _coeff_str(c) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series
-
-
-class Series:
-    """Truncated power series: the coefficients f_0 .. f_{prec-1} are known.
-
-    len(coeffs) == prec always. Arithmetic propagates the minimum precision
-    of its inputs; asking for coefficients past prec raises.
-    """
-
-    __slots__ = ("dom", "coeffs", "prec")
-
-    def __init__(self, dom: Domain, coeffs, prec: int = None, normalized=False):
-        if not normalized:
-            coeffs = [dom.coerce(c) for c in coeffs]
-            if prec is None:
-                prec = len(coeffs)
-            if prec < 0:
-                raise PrecisionError("series precision must be >= 0")
-            if len(coeffs) < prec:
-                coeffs = coeffs + [0] * (prec - len(coeffs))
-            else:
-                coeffs = coeffs[:prec]
-            coeffs = tuple(coeffs)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "prec", len(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    @staticmethod
-    def from_poly(p: Poly, prec: int) -> "Series":
-        return Series(p.dom, list(p.coeffs), prec)
-
-    @staticmethod
-    def zero(dom: Domain, prec: int) -> "Series":
-        return Series(dom, [], prec)
-
-    def valuation(self):
-        """Index of the first nonzero known coefficient, or None if the
-        series is zero to its precision."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def truncate(self, prec: int) -> "Series":
-        if prec > self.prec:
-            raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return Series(self.dom, self.coeffs[:prec], prec, normalized=True)
-
-    def shift_down(self, ell: int) -> "Series":
-        """Drop the first ell coefficients: (F - sum_{i<ell} f_i q^i)/q^ell."""
-        if ell < 0:
-            raise ValueError("shift must be >= 0")
-        if ell > self.prec:
-            raise PrecisionError(f"cannot drop {ell} terms of a {self.prec}-term series")
-        return Series(self.dom, self.coeffs[ell:], self.prec - ell, normalized=True)
-
-    def shift_up(self, k: int) -> "Series":
-        """Multiply by q^k: prepends k zero coefficients."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        return Series(self.dom, (0,) * k + self.coeffs, self.prec + k, normalized=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.dom == other.dom
-            and self.prec == other.prec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dom.name, self.prec, self.coeffs))
-
-    def _same_dom(self, other) -> Domain:
-        if not isinstance(other, Series):
-            raise TypeError(f"expected Series, got {type(other).__name__}")
-        if self.dom != other.dom:
-            raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
-        return self.dom
-
-    @staticmethod
-    def _reduced(dom: Domain, out) -> "Series":
-        """Series of operator results, each reduced once (only where the
-        domain reduces)."""
-        if dom.reduces:
-            out = [dom.reduce(c) for c in out]
-        return Series(dom, tuple(out), normalized=True)
-
-    def __add__(self, other):
-        dom = self._same_dom(other)
-        return Series._reduced(dom, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        dom = self._same_dom(other)
-        return Series._reduced(dom, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Series._reduced(self.dom, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        dom = self._same_dom(other)
-        n = min(self.prec, other.prec)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * n
-        for i in range(n):
-            ca = a[i]
-            if ca:
-                for j, cb in enumerate(b[:n - i], i):
-                    if cb:
-                        out[j] += ca * cb
-        return Series._reduced(dom, out)
-
-    def scale(self, c) -> "Series":
-        c = self.dom.coerce(c)
-        return Series._reduced(self.dom, [x * c for x in self.coeffs])
-
-    def invert(self) -> "Series":
-        """Multiplicative inverse; the constant term must be a unit."""
-        dom = self.dom
-        if self.prec == 0:
-            raise PrecisionError("cannot invert a zero-precision series")
-        inv0 = dom.inv(self.coeffs[0])
-        f = self.coeffs
-        out = [inv0]
-        for m in range(1, self.prec):
-            acc = sum(fi * out[m - i] for i, fi in enumerate(f[1:m + 1], 1) if fi)
-            out.append(dom.reduce(-acc * inv0))
-        return Series(dom, tuple(out), normalized=True)
-
-    def map_domain(self, new_dom: Domain) -> "Series":
-        return Series(new_dom, [new_dom.coerce(c) for c in self.coeffs], self.prec)
-
-    def __str__(self):
-        body = format_terms(enumerate(self.coeffs))
-        return f"{body} + O(q^{self.prec})"
-
-    def __repr__(self):
-        return f"Series({self.dom}, {list(self.coeffs)!r}, prec={self.prec})"
-
-
-# ---------------------------------------------------------------------------
 # Fraction-free determinants
 
 
 def det_fraction_free(rows, dom: Domain):
     """Determinant of a square matrix over dom, given as rows, by Bareiss
-    fraction-free elimination: leading_minors over ZZ, row pivoting over
-    other domains.
+    fraction-free elimination: `oracle.leading_minors` over ZZ (imported
+    on use), row pivoting over other domains.
 
     All intermediate divisions are exact by construction (Sylvester's
     identity), so the computation stays in the domain. The empty 0x0
@@ -654,140 +508,10 @@ def det_fraction_free(rows, dom: Domain):
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     if dom is ZZ:
+        from .oracle import leading_minors
+
         return leading_minors(rows)[-1]
     return _bareiss_generic(dom, rows)
-
-
-def leading_minors(rows) -> list:
-    """Every leading principal minor of a square integer matrix, from one
-    fraction-free elimination: [1, d_1, ..., d_n], d_k of the top-left
-    k x k block.
-
-    Rows are processed in order; each pivots on its leftmost nonzero
-    column not yet used. Pivoting only moves rightward, so rows 0..k-1
-    have pivots in exactly columns 0..k-1 when d_k != 0; d_k is then the
-    Bareiss pivot of row k-1 (the minor of rows 0..k-1 on their pivot
-    columns, taken in pivot order) times the sign of the pivot-column
-    permutation. A row without a pivot depends on the rows above it, so
-    every larger minor vanishes.
-
-    The elimination runs in two phases. While every pivot is +-1, the
-    rows are taken left-looking. Input row h_i is reduced by the plain
-    (Gaussian) rows above it, row k kept as U_k, its reduced row times
-    its pivot, so that U_k is 1 in its pivot column pc_k. The multipliers
-    are c_k = h_i[pc_k] - sum_{t<k} c_t U_t[pc_k], and each live entry
-    is h_i[j] - sum_k c_k U_k[j]. With unit pivots no step divides, so
-    every update only adds integer products, and each entry is one dot
-    product, run in C by sum(map(mul, ...)) over per-column lists of the
-    U_k, each entry stored once. The Bareiss pivot is the product det of
-    the plain pivots, +-1.
-
-    At the first pivot that is not a unit, its row and the rows below are
-    brought up to date row by row, subtracting c_k U_k for each unit step
-    in turn: on the windows the hand-off comes after at most five unit
-    steps, too few for a dot product per entry to pay for its call.
-    Right-looking Bareiss steps (x*piv - f*y) / prev then finish the
-    elimination; every division is exact (Sylvester's identity), so the
-    entries stay in ZZ. A Bareiss row after the unit steps is det times
-    the plain row, so the first Bareiss step takes the plain rows and
-    pivot with prev = det, which gives the Bareiss rows; its Bareiss
-    pivot is det times the plain one. A step whose divisor prev is +-1
-    skips the division, and one whose pivot is +-1 skips a product:
-    (x - g*y) / (prev*piv), g = f*piv. Those unit steps are written as
-    plain differences x - g*y, which ran 3-12 % faster on the scan
-    windows (orders 79-167) than the negated -(g*y - x). A row with
-    prev*piv = 1 and f = 0 is unchanged.
-
-    Any entry that is not an int (a Fraction, say) is refused, since the
-    floor division would silently round it.
-    """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("leading minors of a non-square matrix")
-        if not {int}.issuperset(map(type, row)):
-            bad = next(x for x in row if type(x) is not int)
-            raise TypeError(f"leading minors need int entries, got {type(bad).__name__}")
-    live = list(range(n))  # original index of each column not yet pivoted
-    cols = [[] for _ in live]  # per live column, its entries in the rows above
-    steps = []  # per unit pivot: its column and that column's list
-    minors = [1]
-    inversions = 0
-    det = 1
-
-    def multipliers(h):
-        c = []
-        for pc, col in steps:
-            c.append(h[pc] - sum(map(mul, c, col)))
-        return c
-
-    def reduced(h):
-        c = multipliers(h)
-        return [h[j] - sum(map(mul, c, col)) for j, col in zip(live, cols)]
-
-    def updated(h):
-        out = list(map(h.__getitem__, live))
-        for c, u in zip(multipliers(h), urows):
-            if c:
-                out = [x - c * y for x, y in zip(out, u)]
-        return out
-
-    i = 0  # the first row of the Bareiss phase
-    for i, h in enumerate(rows):
-        row = reduced(h)
-        pos = next((p for p, x in enumerate(row) if x), None)
-        if pos is None:
-            return minors + [0] * (n - i)
-        p = row[pos]
-        if p != 1 and p != -1:
-            break
-        det *= p
-        for col, x in zip(cols, row):
-            col.append(x * p)
-        steps.append((live[pos], cols[pos]))
-        del live[pos], cols[pos]
-        # Each of the pos live columns left of the pivot is pivoted by
-        # a later row. When d_k != 0 that row is above row k, so the sum
-        # over rows < k counts the inversions of their pivot columns.
-        inversions += pos
-        minors.append(0 if live and live[0] <= i else (-det if inversions & 1 else det))
-    else:
-        return minors
-    urows = list(zip(*cols))  # the live entries of each U_k
-    m = list(map(updated, rows[i:]))
-    prev = det
-    for k, row in enumerate(m, i):
-        pos = next((p for p, x in enumerate(row) if x), None)
-        if pos is None:
-            break
-        piv = row[pos]
-        del live[pos], row[pos]
-        inversions += pos
-        unit = piv == 1 or piv == -1
-        q = prev * piv if unit else prev
-        for r in range(k - i + 1, len(m)):
-            mr = m[r]
-            f = mr.pop(pos)
-            if unit:
-                g = f * piv
-                if q == 1:
-                    if f:
-                        m[r] = [x - g * y for x, y in zip(mr, row)]
-                elif q == -1:
-                    m[r] = [g * y - x for x, y in zip(mr, row)]
-                else:
-                    m[r] = [(x - g * y) // q for x, y in zip(mr, row)]
-            elif q == 1:
-                m[r] = [x * piv - f * y for x, y in zip(mr, row)]
-            elif q == -1:
-                m[r] = [f * y - x * piv for x, y in zip(mr, row)]
-            else:
-                m[r] = [(x * piv - f * y) // q for x, y in zip(mr, row)]
-        if k == i:
-            piv *= det
-        prev = piv
-        minors.append(0 if live and live[0] <= k else (-piv if inversions & 1 else piv))
-    return minors + [0] * (n + 1 - len(minors))
 
 
 def _bareiss_generic(dom: Domain, m):

@@ -17,7 +17,8 @@ no convergence test is needed.
 
 from __future__ import annotations
 
-from .algebra import Domain, Poly, PrecisionError, Record, Series
+from .algebra import Domain, Poly, PrecisionError, Record
+from .qseries import Series
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 
 # the library modules are lazy (see the package docstring): each runs on
 # its first attribute read, so a subcommand runs only the ones it calls
-from . import SUITES, __version__, algebra, hfrac, qseries, verify
+from . import SUITES, __version__, algebra, hfrac, qseries, reports, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -137,7 +137,7 @@ def _cmd_hankel(args) -> tuple:
             f"--source {args.source} needs --ell <= {n + 1}; "
             "only brute force reaches larger shifts"
         )
-    report = verify.hankel_sequence(n, ell, horizon, source)
+    report = reports.hankel_sequence(n, ell, horizon, source)
     code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
     rows = [(n, ell, j, v, source) for j, v in enumerate(report.values)]
     lines = [f"n={n} ell={ell} horizon={horizon} source={source}"]
@@ -238,7 +238,7 @@ def _cmd_scan(args) -> tuple:
     horizon = args.horizon if args.horizon is not None else 4 * n * (n + 1)
     if horizon < 1:
         raise UsageError("--horizon must be >= 1")
-    r = verify.conjecture_scan(n, ell, horizon)
+    r = reports.conjecture_scan(n, ell, horizon)
     rows = [(n, ell, j, v, "brute_force") for j, v in enumerate(r.values)]
     lines = [
         f"n={n} ell={ell} horizon={horizon} (exploratory)",

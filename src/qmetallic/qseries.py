@@ -1,4 +1,9 @@
-"""q-deformed integers, rationals, and metallic numbers.
+"""Truncated power series, and q-deformed integers, rationals and
+metallic numbers.
+
+`Series` holds the coefficients f_0 .. f_{prec-1} of a power series
+over one of the `algebra` domains; every request that reads a series
+runs this module, so the class lives here rather than in `algebra`.
 
 The q-deformation of a nonnegative integer n is the polynomial
 [n]_q = 1 + q + ... + q^(n-1). Only these are needed: a q-rational or
@@ -18,7 +23,156 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import Domain, ZZ, Poly, Record, Series
+from .algebra import Domain, PrecisionError, ZZ, Poly, Record, format_terms
+
+
+# ---------------------------------------------------------------------------
+# Truncated power series
+
+
+class Series:
+    """Truncated power series: the coefficients f_0 .. f_{prec-1} are known.
+
+    len(coeffs) == prec always. Arithmetic propagates the minimum precision
+    of its inputs; asking for coefficients past prec raises.
+    """
+
+    __slots__ = ("dom", "coeffs", "prec")
+
+    def __init__(self, dom: Domain, coeffs, prec: int = None, normalized=False):
+        if not normalized:
+            coeffs = [dom.coerce(c) for c in coeffs]
+            if prec is None:
+                prec = len(coeffs)
+            if prec < 0:
+                raise PrecisionError("series precision must be >= 0")
+            if len(coeffs) < prec:
+                coeffs = coeffs + [0] * (prec - len(coeffs))
+            else:
+                coeffs = coeffs[:prec]
+            coeffs = tuple(coeffs)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "prec", len(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Series is immutable")
+
+    @staticmethod
+    def from_poly(p: Poly, prec: int) -> "Series":
+        return Series(p.dom, list(p.coeffs), prec)
+
+    @staticmethod
+    def zero(dom: Domain, prec: int) -> "Series":
+        return Series(dom, [], prec)
+
+    def valuation(self):
+        """Index of the first nonzero known coefficient, or None if the
+        series is zero to its precision."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return None
+
+    def truncate(self, prec: int) -> "Series":
+        if prec > self.prec:
+            raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
+        return Series(self.dom, self.coeffs[:prec], prec, normalized=True)
+
+    def shift_down(self, ell: int) -> "Series":
+        """Drop the first ell coefficients: (F - sum_{i<ell} f_i q^i)/q^ell."""
+        if ell < 0:
+            raise ValueError("shift must be >= 0")
+        if ell > self.prec:
+            raise PrecisionError(f"cannot drop {ell} terms of a {self.prec}-term series")
+        return Series(self.dom, self.coeffs[ell:], self.prec - ell, normalized=True)
+
+    def shift_up(self, k: int) -> "Series":
+        """Multiply by q^k: prepends k zero coefficients."""
+        if k < 0:
+            raise ValueError("shift must be >= 0")
+        return Series(self.dom, (0,) * k + self.coeffs, self.prec + k, normalized=True)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Series)
+            and self.dom == other.dom
+            and self.prec == other.prec
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.dom.name, self.prec, self.coeffs))
+
+    def _same_dom(self, other) -> Domain:
+        if not isinstance(other, Series):
+            raise TypeError(f"expected Series, got {type(other).__name__}")
+        if self.dom != other.dom:
+            raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
+        return self.dom
+
+    @staticmethod
+    def _reduced(dom: Domain, out) -> "Series":
+        """Series of operator results, each reduced once (only where the
+        domain reduces)."""
+        if dom.reduces:
+            out = [dom.reduce(c) for c in out]
+        return Series(dom, tuple(out), normalized=True)
+
+    def __add__(self, other):
+        dom = self._same_dom(other)
+        return Series._reduced(dom, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        dom = self._same_dom(other)
+        return Series._reduced(dom, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return Series._reduced(self.dom, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        dom = self._same_dom(other)
+        n = min(self.prec, other.prec)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * n
+        for i in range(n):
+            ca = a[i]
+            if ca:
+                for j, cb in enumerate(b[:n - i], i):
+                    if cb:
+                        out[j] += ca * cb
+        return Series._reduced(dom, out)
+
+    def scale(self, c) -> "Series":
+        c = self.dom.coerce(c)
+        return Series._reduced(self.dom, [x * c for x in self.coeffs])
+
+    def invert(self) -> "Series":
+        """Multiplicative inverse; the constant term must be a unit."""
+        dom = self.dom
+        if self.prec == 0:
+            raise PrecisionError("cannot invert a zero-precision series")
+        inv0 = dom.inv(self.coeffs[0])
+        f = self.coeffs
+        out = [inv0]
+        for m in range(1, self.prec):
+            acc = sum(fi * out[m - i] for i, fi in enumerate(f[1:m + 1], 1) if fi)
+            out.append(dom.reduce(-acc * inv0))
+        return Series(dom, tuple(out), normalized=True)
+
+    def map_domain(self, new_dom: Domain) -> "Series":
+        return Series(new_dom, [new_dom.coerce(c) for c in self.coeffs], self.prec)
+
+    def __str__(self):
+        body = format_terms(enumerate(self.coeffs))
+        return f"{body} + O(q^{self.prec})"
+
+    def __repr__(self):
+        return f"Series({self.dom}, {list(self.coeffs)!r}, prec={self.prec})"
+
+
+# ---------------------------------------------------------------------------
+# q-integers and quadratic models
 
 
 def q_integer(n: int) -> Poly:

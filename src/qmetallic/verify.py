@@ -3,212 +3,41 @@
 The determinants come by two independent routes: brute force (the
 leading minors of the coefficient matrix, from `oracle`, which never
 reads the fraction) and the product formula read off the periodic Hankel
-fraction. Everything else is cross-examination: value-set and
-antiperiodicity checks, the three-term Gale-Robinson recurrence, the
-contiguity identity linking consecutive coefficient shifts, closed-form
-sign reconstruction with its symmetry, support-set membership by residue
-conditions, prime-field runs with cycle detection, an exploratory
-scanner for the shift just beyond the proved range, and Catalan/Motzkin
-baselines that pin the brute-force oracle to classical values.
+fraction (`reports.hankel_formula_values`). Everything else is
+cross-examination: value-set and antiperiodicity checks, the three-term
+Gale-Robinson recurrence, the contiguity identity linking consecutive
+coefficient shifts, the Theorem 5.1 closed forms of `explicit` with
+their symmetry and support-set membership, prime-field runs with cycle
+detection, and Catalan/Motzkin baselines that pin the brute-force
+oracle to classical values.
 
-Checks return data, not exceptions: a CheckResult carries pass/fail plus
-the first counterexample, so a failing run is directly diagnosable.
+Checks return data, not exceptions: a `reports.CheckResult` carries
+pass/fail plus the first counterexample, so a failing run is directly
+diagnosable.
 """
 
 from __future__ import annotations
 
 from . import SUITES
-from .algebra import Poly, Record, ZZ, is_prime, prime_field
+from .algebra import Poly, ZZ, is_prime, prime_field
+from .explicit import (
+    _class_ranges,
+    _sign_pow,
+    explicit_delta_sequence,
+    explicit_support_index,
+    support_membership,
+)
 from .hfrac import (
     expected_hfraction,
     hankel_values_from_hfraction,
     hfraction_of_quadratic,
-    hfraction_of_shift,
     metallic_step_cap,
     shifted_model_chain,
     support_profile,
 )
 from .oracle import hankel_bruteforce_values, hankel_window
 from .qseries import catalan_series, metallic_model, motzkin_series
-
-HANKEL_SOURCES = ("formula", "brute_force", "both")
-
-
-# ---------------------------------------------------------------------------
-# Report containers
-
-
-def _jsonable(v):
-    if isinstance(v, (int, str, bool)) or v is None:
-        return v
-    return str(v)
-
-
-class CheckResult(Record):
-    """Outcome of one named property check.
-
-    counterexample, when present, is (j, expected, got) at the first
-    failing index; detail carries the parameters the check ran with.
-    """
-
-    name: str
-    passed: bool
-    counterexample: tuple = None
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed}
-        if self.counterexample is not None:
-            j, expected, got = self.counterexample
-            out["counterexample"] = {
-                "j": j,
-                "expected": _jsonable(expected),
-                "got": _jsonable(got),
-            }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-def _report_json(report) -> dict:
-    """A report's JSON payload: every field under its own name, tuples as
-    lists, and each of `checks` by CheckResult.to_json_dict."""
-    out = {}
-    for f in report._fields:
-        v = getattr(report, f)
-        if f == "checks":
-            v = [c.to_json_dict() for c in v]
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f] = v
-    return out
-
-
-class HankelReport(Record):
-    """A window of Hankel determinant values with provenance.
-
-    values[j] is the j-th determinant of the ell-fold coefficient shift;
-    len(values) == horizon. source records which route produced them;
-    with source "both" the cross-check lives in `checks`.
-    """
-
-    n: int
-    ell: int
-    values: tuple
-    horizon: int
-    source: str
-    checks: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    to_json_dict = _report_json
-
-
-class ModpReport(Record):
-    """Cycle data of a prime-field fraction run and its determinant
-    stream. Periods are None, with no checks, when no cycle closed within
-    max_steps (inconclusive, not a refutation); the determinant ones
-    alone are None when no period covers half of `hankel_window`."""
-
-    n: int
-    ell: int
-    p: int
-    max_steps: int
-    conclusive: bool
-    hfraction_preperiod: int = None
-    hfraction_period: int = None
-    hfraction_terminated: bool = False
-    hankel_preperiod: int = None
-    hankel_period: int = None
-    hankel_window: int = 0
-    checks: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    to_json_dict = _report_json
-
-
-class ScanReport(Record):
-    """Exploratory observation window for shifts beyond the proved
-    range. Never a theorem claim; the label says so in every payload."""
-
-    n: int
-    ell: int
-    horizon: int
-    value_min: int
-    value_max: int
-    max_abs: int
-    periodicity_verdict: str  # consistent | violated | window_too_small
-    values: tuple = ()
-    label: str = "exploratory"
-
-    to_json_dict = _report_json
-
-
-# ---------------------------------------------------------------------------
-# Determinant windows by route
-
-
-def hankel_formula_values(n: int, ell: int, count: int) -> list:
-    """First count Hankel determinants via the periodic-fraction product
-    formula. Available for ell <= n+1 (where the fraction is known)."""
-    return hankel_values_from_hfraction(hfraction_of_shift(n, ell), count)
-
-
-def hankel_sequence(n: int, ell: int, horizon: int, source: str = "both") -> HankelReport:
-    """Window of determinant values with the requested provenance.
-
-    source "both" computes the two routes independently and records the
-    entry-wise comparison as a check; its values are the brute-force
-    ones (identical whenever the check passes).
-    """
-    if source not in HANKEL_SOURCES:
-        raise ValueError(f"source must be one of {HANKEL_SOURCES}, got {source!r}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    checks = []
-    if source == "formula":
-        values = hankel_formula_values(n, ell, horizon)
-    elif source == "brute_force":
-        values = hankel_bruteforce_values(n, ell, horizon)
-    else:
-        formula = hankel_formula_values(n, ell, horizon)
-        brute = hankel_bruteforce_values(n, ell, horizon)
-        checks.append(
-            _compare_lists(
-                "formula_vs_brute_force",
-                brute,
-                formula,
-                detail=f"n={n} ell={ell} horizon={horizon}",
-            )
-        )
-        values = brute
-    return HankelReport(
-        n=n,
-        ell=ell,
-        values=tuple(values),
-        horizon=horizon,
-        source=source,
-        checks=tuple(checks),
-    )
-
-
-def _compare_lists(name: str, expected, got, detail: str = "") -> CheckResult:
-    if expected == got:
-        return CheckResult(name, True, None, detail)
-    for j, (e, g) in enumerate(zip(expected, got)):
-        if e != g:
-            return CheckResult(name, False, (j, e, g), detail)
-    if len(expected) != len(got):
-        return CheckResult(
-            name, False, (min(len(expected), len(got)), len(expected), len(got)),
-            detail + " (length mismatch)",
-        )
-    return CheckResult(name, True, None, detail)
+from .reports import CheckResult, ModpReport, _compare_lists, hankel_formula_values
 
 
 # ---------------------------------------------------------------------------
@@ -307,87 +136,7 @@ def check_hfraction_shape(n: int) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form signs, support indices, and their symmetries
-
-
-def _sign_pow(e: int) -> int:
-    return -1 if e % 2 else 1
-
-
-def explicit_delta(n: int, p: int, cls: int) -> int:
-    """Closed-form value of the determinant at the support index of
-    fraction term 3p + cls (cls in {0, 1, 2}), for n >= 3.
-
-    Raises ValueError when p falls outside the displayed range of the
-    requested class.
-    """
-    if n < 3:
-        raise ValueError("closed forms assume n >= 3 (smaller n are tabulated)")
-    half = n * (n - 1) // 2
-    if cls == 0:
-        if 0 <= p <= n - 1:
-            return _sign_pow(p * half + p * (p - 1) // 2)
-        if p == n:
-            return _sign_pow(n * (n + 1) * (n + 2) // 2)
-        if n + 1 <= p <= 2 * n - 2:
-            return _sign_pow((p + 1) * half + n)
-    elif cls == 1:
-        if 0 <= p <= 2 * n - 2:
-            return _sign_pow(p * half + p * (p + 1) // 2)
-    elif cls == 2:
-        if 0 <= p <= n - 2:
-            return _sign_pow((p + 1) * half)
-        if p == n - 1:
-            return _sign_pow(n * (n - 1) ** 2 // 2)
-        if n <= p <= 2 * n - 3:
-            return _sign_pow(p * half + (p + 1) * (p + 2) // 2)
-    else:
-        raise ValueError(f"cls must be 0, 1 or 2, got {cls}")
-    raise ValueError(f"p={p} is outside the displayed range of class {cls} for n={n}")
-
-
-def explicit_support_index(n: int, p: int, cls: int) -> int:
-    """Closed-form support index s of fraction term 3p + cls, n >= 3."""
-    if n < 3:
-        raise ValueError("closed forms assume n >= 3")
-    if cls == 0:
-        if 0 <= p <= n - 1:
-            return p * (n + 1)
-        if p == n:
-            return (n + 1) ** 2
-        if n + 1 <= p <= 2 * n - 2:
-            return 1 + (p + 3) * n
-    elif cls == 1:
-        if 0 <= p <= n - 1:
-            return 1 + p * (n + 1)
-        if n <= p <= 2 * n - 2:
-            return n + (p + 1) * (n + 1)
-    elif cls == 2:
-        if 0 <= p <= n - 2:
-            return (p + 1) * n
-        if p == n - 1:
-            return n * (n + 1)
-        if n <= p <= 2 * n - 3:
-            return (p + 2) * (n + 1)
-    else:
-        raise ValueError(f"cls must be 0, 1 or 2, got {cls}")
-    raise ValueError(f"p={p} is outside the displayed range of class {cls} for n={n}")
-
-
-def _class_ranges(n: int):
-    # (cls, max p) triples tiling the fraction terms 0..6n-6, 1..6n-5, 2..6n-7
-    return ((0, 2 * n - 2), (1, 2 * n - 2), (2, 2 * n - 3))
-
-
-def explicit_delta_sequence(n: int) -> list:
-    """One full (anti)period of determinant values, reconstructed purely
-    from the closed-form support indices and signs (zero off-support)."""
-    P = 2 * n * (n + 1)
-    out = [0] * P
-    for cls, pmax in _class_ranges(n):
-        for p in range(pmax + 1):
-            out[explicit_support_index(n, p, cls)] = explicit_delta(n, p, cls)
-    return out
+# Closed forms against the routes, and their symmetries
 
 
 def check_explicit_reconstruction(n: int) -> CheckResult:
@@ -412,33 +161,6 @@ def check_delta_symmetry(n: int) -> CheckResult:
     return _compare_lists("delta_symmetry", want, values, f"n={n} span={M}")
 
 
-def support_membership(n: int, j: int):
-    """(membership, witness) of index j in the nonzero-determinant set.
-
-    Membership is decided by residue conditions (i)-(v) inside one
-    period window, after reducing j by multiples of 2n(n+1) (the window
-    keeps its right endpoint). n >= 3.
-    """
-    if n < 3:
-        raise ValueError("the residue characterization assumes n >= 3")
-    if j < 0:
-        raise ValueError("index must be >= 0")
-    P = 2 * n * (n + 1)
-    if j > P:
-        j = (j - 1) % P + 1
-    if j % (n + 1) == 0:
-        return True, "i"
-    if j % (n + 1) == 1 and 1 <= j <= n * n:
-        return True, "ii"
-    if j % (n + 1) == n and n + (n + 1) ** 2 <= j <= n + (2 * n - 1) * (n + 1):
-        return True, "iii"
-    if j % n == 0 and n <= j <= (n - 1) * n:
-        return True, "iv"
-    if j % n == 1 and 1 + (n + 4) * n <= j <= 1 + (2 * n + 1) * n:
-        return True, "v"
-    return False, None
-
-
 def check_support_membership(n: int) -> CheckResult:
     """Residue-condition membership agrees with vanishing of the actual
     determinants out to beyond one full period."""
@@ -449,16 +171,6 @@ def check_support_membership(n: int) -> CheckResult:
     return _compare_lists(
         "support_membership", actual, claimed, f"n={n} max_index={top}"
     )
-
-
-def support_sets(n: int):
-    """The three support classes within one period window, as sets:
-    support indices of fraction terms congruent to 0, 1, 2 mod 3."""
-    prof = support_profile(expected_hfraction(n), 6 * n - 4)
-    out = ([], [], [])
-    for i, s in enumerate(prof.s_seq):
-        out[i % 3].append(s)
-    return tuple(frozenset(c) for c in out)
 
 
 def check_profile_identities(n: int) -> list:
@@ -629,44 +341,6 @@ def modp_analysis(
         hfraction_preperiod=1 + len(hf.preamble), hfraction_period=len(hf.cycle),
         hankel_preperiod=h_pre, hankel_period=h_per, hankel_window=window,
         checks=(check,),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exploration beyond the proved shifts
-
-
-def conjecture_scan(n: int, ell: int, horizon: int) -> ScanReport:
-    """Observe the determinant window at a shift beyond the fraction
-    range: value bounds and whether the (anti)periodicity pattern is
-    consistent with what the proved shifts satisfy. Output is a report
-    of observations, never a claim."""
-    if ell < n + 2:
-        raise ValueError(
-            f"shifts up to {n + 1} are settled; the scanner starts at {n + 2}"
-        )
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    values = hankel_bruteforce_values(n, ell, horizon)
-    P = 2 * n * (n + 1)
-    sign = -1 if n % 2 else 1
-    if horizon <= P:
-        verdict = "window_too_small"
-    else:
-        verdict = "consistent"
-        for j in range(horizon - P):
-            if values[j + P] != sign * values[j]:
-                verdict = "violated"
-                break
-    return ScanReport(
-        n=n,
-        ell=ell,
-        horizon=horizon,
-        value_min=min(values),
-        value_max=max(values),
-        max_abs=max(abs(v) for v in values),
-        periodicity_verdict=verdict,
-        values=tuple(values),
     )
 
 

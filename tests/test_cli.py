@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from qmetallic import CheckResult
-from qmetallic import cli, verify
+from qmetallic import cli, reports, verify
 from qmetallic.algebra import PRIMALITY_BOUND
 
 import goldens
@@ -295,13 +295,16 @@ def test_csv_leaves_a_missing_value_empty(capsys):
 
 
 def corrupt_formula_route(monkeypatch):
-    """Raise the value at j = 3 of every ell = 1 formula window by one."""
-    real = verify.hankel_formula_values
+    """Raise the value at j = 3 of every ell = 1 formula window by one, in
+    `reports` (which `hankel` calls) and in `verify` (the checkers and
+    `modp`), the two modules that read the formula route."""
+    real = reports.hankel_formula_values
 
     def corrupted(n, ell, count):
         values = real(n, ell, count)
         return [v + 1 if j == 3 and ell == 1 else v for j, v in enumerate(values)]
 
+    monkeypatch.setattr(reports, "hankel_formula_values", corrupted)
     monkeypatch.setattr(verify, "hankel_formula_values", corrupted)
 
 
@@ -407,7 +410,13 @@ def test_console_script_runs():
     assert r.returncode == 0 and "1 + q^2" in r.stdout
 
 
-LIBRARY = {"algebra", "cfrac", "hfrac", "oracle", "qseries", "verify"}
+LIBRARY = {
+    "algebra", "cfrac", "explicit", "hfrac", "oracle", "qseries", "reports", "verify",
+}
+# what a request that expands the fraction runs, and what one that takes
+# only brute-force windows runs, and no more
+FRACTION = {"algebra", "cfrac", "hfrac", "qseries"}
+BRUTE = {"algebra", "oracle", "qseries", "reports"}
 
 # one command line in a fresh interpreter; the last line of stderr lists
 # the modules that ran. A lazy library module sits in sys.modules before
@@ -480,10 +489,21 @@ print(before, "fractions" in sys.modules, hf.dom, hashlib.sha256(text.encode()).
     (["series"], set()),  # argparse's usage error
     (["verify", "--suite", "nope"], set()),  # the suite names are not in verify
     (["series", "--n", "3"], {"algebra", "qseries"}),
-    (["hfrac", "--n", "3"], {"algebra", "cfrac", "hfrac", "qseries"}),
-    (["scan", "--n", "1"], LIBRARY),
+    (["hfrac", "--n", "3"], FRACTION),
+    # the two routes' windows are in `reports`: no `hankel` or `scan`
+    # request runs the checkers of `verify` or the closed forms of
+    # `explicit`, and only the brute-force route runs `oracle`
+    (["hankel", "--n", "3", "--source", "formula"], FRACTION | {"reports"}),
+    (["hankel", "--n", "3", "--source", "both"], FRACTION | BRUTE),
+    (["hankel", "--n", "3", "--source", "brute"], BRUTE),
+    (["scan", "--n", "1"], BRUTE),
     (["modp", "--n", "3", "--p", "4"], {"algebra"}),  # a usage error
-], ids=["version", "usage-error", "unknown-suite", "series", "hfrac", "scan", "modp-not-prime"])
+    (["modp", "--n", "3", "--p", "7"], LIBRARY),
+    (["verify", "--suite", "thm51", "--n", "3"], LIBRARY),
+], ids=[
+    "version", "usage-error", "unknown-suite", "series", "hfrac", "hankel-formula",
+    "hankel-both", "hankel-brute", "scan", "modp-not-prime", "modp", "verify-thm51",
+])
 def test_each_request_runs_only_the_modules_it_needs(argv, expected):
     library, ran = modules_run_by(argv)
     assert library == expected

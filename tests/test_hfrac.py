@@ -56,6 +56,29 @@ def test_first_step_for_n_5():
     res.next_model.validate()
 
 
+def test_each_model_is_validated_once_by_the_step_that_reads_it(monkeypatch):
+    # alg_step checks its input at entry and hands the next model back
+    # unchecked, so an expansion checks its input once more and nothing twice
+    checked, steps = [], []
+    validate, step = Model.validate, hfrac.alg_step
+    monkeypatch.setattr(Model, "validate", lambda self: checked.append(self) or validate(self))
+    monkeypatch.setattr(hfrac, "alg_step", lambda model: steps.append(model) or step(model))
+    hfraction_of_quadratic(metallic_model(4), metallic_step_cap(4))
+    assert len(steps) == 1 + (6 * 4 - 4)  # the head, then one cycle
+    assert checked == [steps[0]] + steps
+
+
+def test_a_corrupted_next_model_raises_at_its_step():
+    m = alg_step(metallic_model(4)).next_model
+    for bad, error in [
+        (Model(m.a, m.b, m.c + Poly.one(ZZ)), "C\\(0\\) = 0"),
+        (Model(m.a, m.b + Poly.one(ZZ), m.c), "B\\(0\\) = 1"),
+        (Model(Poly.zero(ZZ), m.b, m.c), "A != 0"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            alg_step(bad)
+
+
 def test_step_trace_n5_matches_frozen_rows_with_reentry():
     rows = run_trace(metallic_model(5), 28)
     got = [(k, int(a), [int(c) for c in d.coeffs]) for (_, k, a, d) in rows]
