@@ -9,14 +9,14 @@ All arithmetic is exact: integers, rationals, or prime fields. No floats.
 Importing the package runs none of its eight submodules. Each one is put
 in `sys.modules` and on the package as a lazy module
 (`importlib.util.LazyLoader`), which runs on its first attribute read; a
-public name such as `qmetallic.run_suite` is read from its defining
-module on use. So the command line runs only what a subcommand needs:
-`--version` and a malformed command line run no submodule, `series` runs
+public name such as `qmetallic.run_suite` is read from its module on
+use. So the command line runs only what a subcommand needs:
+`--version` and a malformed command line run none, `series` runs
 `algebra` and `qseries`, `hfrac` adds `cfrac` and `hfrac`, `hankel
---source formula` adds `reports` to those, `hankel --source both` adds
-`oracle` as well, `hankel --source brute` and `scan` run `algebra`,
-`qseries`, `oracle` and `reports`, and `verify` and `modp` run all
-eight.
+--source formula` adds `reports`, `--source both` adds `oracle` too,
+`--source brute` and `scan` run `algebra`, `qseries`, `oracle` and
+`reports`, and `modp` and `verify` run all but `explicit`, which only
+the thm51 suite runs.
 
 The source of each submodule is kept under 18,000 bytes: a request that
 compiles it without a bytecode cache peaks higher in memory the larger

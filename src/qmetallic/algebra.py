@@ -48,7 +48,8 @@ class Record:
     dataclass gives: construction by position or keyword, equality
     between instances of the same class, a hash of the field values, the
     repr Name(field=value!r, ...), AttributeError on assignment and
-    deletion, and a `__post_init__` hook. Nothing is generated as source,
+    deletion, and a `__post_init__` hook, where a record checks its
+    invariant: one that exists is valid. Nothing is generated as source,
     so defining a record costs no more at import than a plain class.
     """
 
@@ -65,7 +66,6 @@ class Record:
         # attrgetter is not a method and does not bind
         cls._astuple = attrgetter(*fields)
 
-    # a subclass that defines this method has it called after __init__
     __post_init__ = None
 
     def __init__(self, *args, **kwargs):

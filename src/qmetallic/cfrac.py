@@ -58,17 +58,18 @@ def _scalar_json(x):
 class HFTerm(Record):
     """One level of a Hankel continued fraction.
 
-    k is the gap exponent, v the unit numerator coefficient, d the
-    denominator polynomial with d(0) = 1 and deg(d) <= k + 1. The rendered
-    numerator is v*q^k for the head term and -v*q^(k_prev + k + 2) for
-    every later term.
+    k >= 0 is the gap exponent, v the nonzero numerator coefficient, d
+    the denominator polynomial with d(0) = 1 and deg(d) <= k + 1; building
+    a term that breaks one raises ValueError. The rendered numerator is
+    v*q^k for the head term and -v*q^(k_prev + k + 2) for every later
+    term.
     """
 
     k: int
     v: object
     d: Poly
 
-    def validate(self) -> "HFTerm":
+    def __post_init__(self):
         dom = self.d.dom
         if self.k < 0:
             raise ValueError("term gap k must be >= 0")
@@ -80,7 +81,6 @@ class HFTerm(Record):
             raise ValueError(
                 f"denominator degree {self.d.degree()} exceeds k+1 = {self.k + 1}"
             )
-        return self
 
     def to_json_dict(self) -> dict:
         """Portable encoding {k, a, v, D}; a = -v is the raw step
@@ -233,7 +233,7 @@ def greedy_hfraction(f: Series, max_terms: int) -> PeriodicHFraction:
         t_ser = unit.invert().scale(c)
         d_coeffs = list(t_ser.coeffs[: v + 2])
         d = Poly(dom, d_coeffs)
-        terms.append(HFTerm(k=v, v=c, d=d).validate())
+        terms.append(HFTerm(k=v, v=c, d=d))
         # residual: (D - t)/q^(k+2)
         tail = (Series.from_poly(d, t_ser.prec) - t_ser).shift_down(
             min(v + 2, t_ser.prec)
@@ -271,7 +271,7 @@ class RegularCF(Record):
     def dom(self) -> Domain:
         return self.quotients[0][0].dom
 
-    def validate(self) -> "RegularCF":
+    def __post_init__(self):
         if not self.quotients:
             raise ValueError("a regular continued fraction needs >= 1 quotient")
         for j, (p, m) in enumerate(self.quotients):
@@ -281,7 +281,6 @@ class RegularCF(Record):
                 raise ValueError(f"quotient {j + 1} has positive powers of q")
             if m < 1:
                 raise ValueError(f"quotient {j + 1} is constant in 1/q")
-        return self
 
     def value(self, prec: int) -> Series:
         """Power series of the fraction mod q^prec.
@@ -329,7 +328,7 @@ def artin_expand(f: Series, max_quotients: int) -> RegularCF:
             break
     if not quotients:
         raise ValueError("series is zero to precision; no quotient exists")
-    return RegularCF(tuple(quotients), complete=complete).validate()
+    return RegularCF(tuple(quotients), complete=complete)
 
 
 def hf_to_artin(hf: PeriodicHFraction, nterms: int) -> RegularCF:
@@ -351,13 +350,12 @@ def hf_to_artin(hf: PeriodicHFraction, nterms: int) -> RegularCF:
             c = dom.reduce(-dom.inv(t.v * c))
         quotients.append((t.d.scale(c), t.k + 1))
     complete = hf.terminated and len(terms) == hf.n_stored_terms()
-    return RegularCF(tuple(quotients), complete=complete).validate()
+    return RegularCF(tuple(quotients), complete=complete)
 
 
 def artin_to_hf(cf: RegularCF) -> PeriodicHFraction:
     """Inverse dictionary, producing a (non-periodic) Hankel fraction
     prefix whose series is cf.value() / q."""
-    cf.validate()
     dom = cf.dom
     terms = []
     c_prev = None
@@ -368,7 +366,7 @@ def artin_to_hf(cf: RegularCF) -> PeriodicHFraction:
             v = dom.inv(c)
         else:
             v = dom.reduce(-dom.inv(c * c_prev))
-        terms.append(HFTerm(k=m - 1, v=v, d=d).validate())
+        terms.append(HFTerm(k=m - 1, v=v, d=d))
         c_prev = c
     return PeriodicHFraction(
         head=terms[0],

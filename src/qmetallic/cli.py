@@ -75,7 +75,7 @@ def _parse_n_range(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each validates its arguments, computes, and returns
+# Subcommands: each checks its arguments, computes, and returns
 # (exit_code, json_payload, csv_header, csv_rows, text_lines); `main`
 # renders the one that --format names.
 

@@ -60,7 +60,6 @@ def alg_step(model: Model) -> AlgStepResult:
     accumulated into one list whose coefficients are reduced once (over
     GF(p) only; ZZ and QQ call no `reduce`) before its Poly is built.
     """
-    model.validate()
     dom = model.dom
     ac, bc, cc = model.a.coeffs, model.b.coeffs, model.c.coeffs
     k = model.a.valuation()
@@ -124,8 +123,6 @@ def alg_step(model: Model) -> AlgStepResult:
         b_next[j] += x
     c_next = [0, 0] + [-inv_a * x for x in ac]
     b_pol, c_pol = Poly._reduced(dom, b_next), Poly._reduced(dom, c_next)
-    # valid by construction (A* != 0, B*(0) = B(0) = 1, C* = -A q^2/a), and
-    # the next step validates it at entry, as it does every input
     return AlgStepResult(k=k, a=a, d=d_pol, next_model=Model(a_next, b_pol, c_pol))
 
 
@@ -145,7 +142,6 @@ def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFrac
     metallic models never do) raises ExactDivisionError. To expand over
     the rationals instead, map the model there first.
     """
-    model.validate()
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     dom = model.dom
@@ -171,7 +167,7 @@ def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFrac
         seen[key] = len(terms)
         step = alg_step(model)
         v = dom.reduce(-step.a) if dom.reduces else -step.a
-        terms.append(HFTerm(k=step.k, v=v, d=step.d).validate())
+        terms.append(HFTerm(k=step.k, v=v, d=step.d))
         if step.next_model is None:
             preamble = tuple(terms[1:])
             terminated = True
@@ -213,12 +209,12 @@ def expected_hfraction(n: int) -> PeriodicHFraction:
     if n == 1:
         pair = q_integer(2)  # 1 + q
         return PeriodicHFraction(
-            head=HFTerm(0, 1, one).validate(),
+            head=HFTerm(0, 1, one),
             preamble=(),
             cycle=(
-                HFTerm(0, 1, pair).validate(),
-                HFTerm(1, -1, Poly(ZZ, (1, 1, -1))).validate(),
-                HFTerm(0, -1, pair).validate(),
+                HFTerm(0, 1, pair),
+                HFTerm(1, -1, Poly(ZZ, (1, 1, -1))),
+                HFTerm(0, -1, pair),
             ),
         )
     q = Poly.q(ZZ)
@@ -250,9 +246,9 @@ def expected_hfraction(n: int) -> PeriodicHFraction:
     for exponent, sign, den in entries:
         k = exponent - k_prev - 2
         # a term numerator -v q^(k_prev + k + 2) carries sign -v
-        cycle.append(HFTerm(k=k, v=-sign, d=den).validate())
+        cycle.append(HFTerm(k=k, v=-sign, d=den))
         k_prev = k
-    head = HFTerm(0, 1, one_minus_q).validate()
+    head = HFTerm(0, 1, one_minus_q)
     return PeriodicHFraction(head=head, preamble=(), cycle=tuple(cycle))
 
 
@@ -260,10 +256,9 @@ def shift_model(model: Model, f0) -> Model:
     """Model of the tail (F - f0)/q, given the root's constant term f0.
 
     The update is A' = (A + f0 B + f0^2 C)/q, B' = B + 2 f0 C, C' = q C.
-    The input must be a valid model; then B'(0) = B(0) + 2 f0 C(0) = 1,
-    so the result is one too, with no rescaling.
+    Every model has B(0) = 1 and C(0) = 0, so B'(0) = B(0) + 2 f0 C(0) = 1
+    and the result is a model too, with no rescaling.
     """
-    model.validate()
     dom = model.dom
     f0 = dom.coerce(f0)
     a_pol, b_pol, c_pol = model.a, model.b, model.c
@@ -278,7 +273,7 @@ def shift_model(model: Model, f0) -> Model:
     a_new = shifted.exact_div_monomial(1)
     b_new = b_pol + c_pol.scale(2 * f0)
     c_new = c_pol.shift(1)
-    return Model(a_new, b_new, c_new).validate()
+    return Model(a_new, b_new, c_new)
 
 
 def _over_one_minus_q(p: Poly) -> Poly:
@@ -326,7 +321,7 @@ def shifted_metallic_model(n: int, ell: int) -> Model:
             quadratic_unit + Poly(ZZ, (1, -3, 1)) * Poly.monomial(ZZ, n)
         )
         c_pol = Poly.monomial(ZZ, n + 2)
-    return Model(a_pol, b_pol, c_pol).validate()
+    return Model(a_pol, b_pol, c_pol)
 
 
 def shifted_model_chain(n: int, ell: int) -> Model:

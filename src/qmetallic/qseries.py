@@ -37,7 +37,7 @@ class Series:
     of its inputs; asking for coefficients past prec raises.
     """
 
-    __slots__ = ("dom", "coeffs", "prec")
+    __slots__ = ("dom", "coeffs")
 
     def __init__(self, dom: Domain, coeffs, prec: int = None, normalized=False):
         if not normalized:
@@ -53,7 +53,10 @@ class Series:
             coeffs = tuple(coeffs)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "prec", len(coeffs))
+
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -77,7 +80,7 @@ class Series:
     def truncate(self, prec: int) -> "Series":
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return Series(self.dom, self.coeffs[:prec], prec, normalized=True)
+        return Series(self.dom, self.coeffs[:prec], normalized=True)
 
     def shift_down(self, ell: int) -> "Series":
         """Drop the first ell coefficients: (F - sum_{i<ell} f_i q^i)/q^ell."""
@@ -85,24 +88,23 @@ class Series:
             raise ValueError("shift must be >= 0")
         if ell > self.prec:
             raise PrecisionError(f"cannot drop {ell} terms of a {self.prec}-term series")
-        return Series(self.dom, self.coeffs[ell:], self.prec - ell, normalized=True)
+        return Series(self.dom, self.coeffs[ell:], normalized=True)
 
     def shift_up(self, k: int) -> "Series":
         """Multiply by q^k: prepends k zero coefficients."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        return Series(self.dom, (0,) * k + self.coeffs, self.prec + k, normalized=True)
+        return Series(self.dom, (0,) * k + self.coeffs, normalized=True)
 
     def __eq__(self, other):
         return (
             isinstance(other, Series)
             and self.dom == other.dom
-            and self.prec == other.prec
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.dom.name, self.prec, self.coeffs))
+        return hash((self.dom.name, self.coeffs))
 
     def _same_dom(self, other) -> Domain:
         if not isinstance(other, Series):
@@ -199,9 +201,11 @@ def angle_bracket(n: int) -> Poly:
 class Model(Record):
     """A quadratic equation A + B*F + C*F^2 = 0 for a power series F.
 
-    The expansion algorithms require A != 0, B(0) = 1, C != 0, C(0) = 0;
-    `validate` checks those. Instances are immutable and hashable, which
-    the cycle detection in the fraction expansion relies on.
+    The expansion algorithms require A != 0, B(0) = 1, C != 0, C(0) = 0,
+    all in one ring; building a model that breaks one raises ValueError,
+    so every model that exists is valid. Instances are immutable and
+    hashable, which the cycle detection in the fraction expansion relies
+    on.
     """
 
     a: Poly
@@ -212,7 +216,7 @@ class Model(Record):
     def dom(self) -> Domain:
         return self.b.dom
 
-    def validate(self) -> "Model":
+    def __post_init__(self):
         dom = self.dom
         if self.a.dom != dom or self.c.dom != dom:
             raise ValueError("model polynomials live in different domains")
@@ -224,7 +228,6 @@ class Model(Record):
             raise ValueError("model needs C != 0")
         if self.c.constant():
             raise ValueError("model needs C(0) = 0")
-        return self
 
     def map_domain(self, new_dom: Domain) -> "Model":
         return Model(
@@ -265,7 +268,6 @@ def series_of_model(model: Model, prec: int) -> Series:
     visited, and g_m is summed over half its products by symmetry.
     Exact in the model's domain; O(prec^2) coefficient operations.
     """
-    model.validate()
     dom = model.dom
     if prec <= 0:
         return Series.zero(dom, max(prec, 0))
@@ -292,7 +294,7 @@ def series_of_model(model: Model, prec: int) -> Series:
         if m % 2 == 0:
             gm += f[m // 2] * f[m // 2]
         g.append(dom.reduce(gm))
-    return Series(dom, tuple(f), prec, normalized=True)
+    return Series(dom, tuple(f), normalized=True)
 
 
 def metallic_series(n: int, prec: int) -> Series:

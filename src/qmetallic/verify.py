@@ -18,15 +18,8 @@ diagnosable.
 
 from __future__ import annotations
 
-from . import SUITES
+from . import SUITES, explicit
 from .algebra import Poly, ZZ, is_prime, prime_field
-from .explicit import (
-    _class_ranges,
-    _sign_pow,
-    explicit_delta_sequence,
-    explicit_support_index,
-    support_membership,
-)
 from .hfrac import (
     expected_hfraction,
     hankel_values_from_hfraction,
@@ -146,7 +139,7 @@ def check_explicit_reconstruction(n: int) -> CheckResult:
     return _compare_lists(
         "explicit_delta_reconstruction",
         hankel_bruteforce_values(n, 0, P),
-        explicit_delta_sequence(n),
+        explicit.explicit_delta_sequence(n),
         detail=f"n={n} window={P}",
     )
 
@@ -156,7 +149,7 @@ def check_delta_symmetry(n: int) -> CheckResult:
     delta_j = (-1)^(n(n+1)/2) delta_{(2n+1)(n+1)-j}."""
     M = (2 * n + 1) * (n + 1)
     values = hankel_formula_values(n, 0, M + 1)
-    sign = _sign_pow(n * (n + 1) // 2)
+    sign = explicit._sign_pow(n * (n + 1) // 2)
     want = [sign * v for v in reversed(values)]
     return _compare_lists("delta_symmetry", want, values, f"n={n} span={M}")
 
@@ -167,7 +160,7 @@ def check_support_membership(n: int) -> CheckResult:
     top = 2 * n * (n + 2) + 1
     values = hankel_formula_values(n, 0, top + 1)
     actual = [v != 0 for v in values]
-    claimed = [support_membership(n, j)[0] for j in range(top + 1)]
+    claimed = [explicit.support_membership(n, j)[0] for j in range(top + 1)]
     return _compare_lists(
         "support_membership", actual, claimed, f"n={n} max_index={top}"
     )
@@ -216,9 +209,9 @@ def check_profile_identities(n: int) -> list:
         [((2 * n - 1) * (n * n - n + 3) // 3, eps[6 * n - 4])],
     )
     closed_s = []
-    for cls, pmax in _class_ranges(n):
+    for cls, pmax in explicit._class_ranges(n):
         for p in range(pmax + 1):
-            closed_s.append((explicit_support_index(n, p, cls), s[3 * p + cls]))
+            closed_s.append((explicit.explicit_support_index(n, p, cls), s[3 * p + cls]))
     pairwise("s_closed_form", closed_s)
     return out
 

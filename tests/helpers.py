@@ -5,7 +5,7 @@ from qmetallic import HFTerm, PeriodicHFraction, Poly, Series, ZZ
 
 def term(triple, dom=ZZ):
     k, v, d = triple
-    return HFTerm(k=k, v=dom.coerce(v), d=Poly(dom, d)).validate()
+    return HFTerm(k=k, v=dom.coerce(v), d=Poly(dom, d))
 
 
 def fraction(head, cycle, dom=ZZ):

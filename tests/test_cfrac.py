@@ -21,6 +21,7 @@ from qmetallic import (
     hf_to_artin,
     hfraction_of_shift,
     metallic_series,
+    prime_field,
     q_integer,
 )
 
@@ -95,14 +96,24 @@ def test_rendered_levels_pair_each_gap_with_its_predecessor():
 
 
 def test_hfterm_validation_rules():
-    with pytest.raises(ValueError):
-        HFTerm(k=-1, v=1, d=Poly.one(ZZ)).validate()
-    with pytest.raises(ValueError):
-        HFTerm(k=0, v=0, d=Poly.one(ZZ)).validate()
-    with pytest.raises(ValueError):
-        HFTerm(k=0, v=1, d=Poly(ZZ, [2])).validate()  # D(0) != 1
-    with pytest.raises(ValueError):
-        HFTerm(k=0, v=1, d=Poly(ZZ, [1, 1, 1])).validate()  # deg > k+1
+    with pytest.raises(ValueError, match="gap k must be >= 0"):
+        HFTerm(k=-1, v=1, d=Poly.one(ZZ))
+    with pytest.raises(ValueError, match="coefficient v must be nonzero"):
+        HFTerm(k=0, v=0, d=Poly.one(ZZ))
+    with pytest.raises(ValueError, match="constant term 1"):
+        HFTerm(k=0, v=1, d=Poly(ZZ, [2]))  # D(0) != 1
+    with pytest.raises(ValueError, match="exceeds k\\+1"):
+        HFTerm(k=0, v=1, d=Poly(ZZ, [1, 1, 1]))  # deg > k+1
+    # v is read in its ring: 3 is zero in GF(3)
+    with pytest.raises(ValueError, match="coefficient v must be nonzero"):
+        HFTerm(k=0, v=3, d=Poly.one(prime_field(3)))
+
+
+def test_mapping_a_fraction_to_a_ring_where_v_vanishes_raises():
+    hf = PeriodicHFraction(HFTerm(0, 3, Poly(ZZ, [1])))
+    with pytest.raises(ValueError, match="term coefficient v must be nonzero"):
+        hf.map_domain(prime_field(3))
+    assert hf.map_domain(prime_field(5)).head == HFTerm(0, 3, Poly(prime_field(5), [1]))
 
 
 def test_periodic_fraction_rejects_terminated_cycle():
@@ -254,20 +265,22 @@ def test_dictionary_against_direct_expansion_for_catalan():
 
 def test_artin_to_hf_rejects_constant_quotients():
     with pytest.raises(ValueError):
-        RegularCF(((Poly(QQ, [1]), 0),)).validate()
+        RegularCF(((Poly(QQ, [1]), 0),))
 
 
 def test_regular_cf_validate_checks_each_pair():
     good = (Poly(QQ, [1, 2]), 1)  # 1/q + 2
-    assert RegularCF((good,)).validate().quotients == (good,)
-    for bad in (
-        (Poly.zero(QQ), 1),  # zero P
-        (Poly(QQ, [0, 1]), 2),  # P(0) = 0
-        (Poly(QQ, [1, 0, 1]), 1),  # deg P > m: a positive power of q
-        (Poly(QQ, [1]), 0),  # m = 0: constant in 1/q
+    assert RegularCF((good,)).quotients == (good,)
+    for bad, error in (
+        ((Poly.zero(QQ), 1), "quotient 2 needs P\\(0\\) != 0"),
+        ((Poly(QQ, [0, 1]), 2), "quotient 2 needs P\\(0\\) != 0"),
+        ((Poly(QQ, [1, 0, 1]), 1), "quotient 2 has positive powers of q"),
+        ((Poly(QQ, [1]), 0), "quotient 2 is constant in 1/q"),
     ):
-        with pytest.raises(ValueError):
-            RegularCF((good, bad)).validate()
+        with pytest.raises(ValueError, match=error):
+            RegularCF((good, bad))
+    with pytest.raises(ValueError, match="needs >= 1 quotient"):
+        RegularCF(())
 
 
 def test_dictionary_quotients_are_plain_pairs():

@@ -498,11 +498,14 @@ print(before, "fractions" in sys.modules, hf.dom, hashlib.sha256(text.encode()).
     (["hankel", "--n", "3", "--source", "brute"], BRUTE),
     (["scan", "--n", "1"], BRUTE),
     (["modp", "--n", "3", "--p", "4"], {"algebra"}),  # a usage error
-    (["modp", "--n", "3", "--p", "7"], LIBRARY),
+    # only the thm51 checkers read the closed forms of `explicit`
+    (["modp", "--n", "3", "--p", "7"], LIBRARY - {"explicit"}),
+    (["verify", "--suite", "thmB", "--n", "3"], LIBRARY - {"explicit"}),
     (["verify", "--suite", "thm51", "--n", "3"], LIBRARY),
 ], ids=[
     "version", "usage-error", "unknown-suite", "series", "hfrac", "hankel-formula",
-    "hankel-both", "hankel-brute", "scan", "modp-not-prime", "modp", "verify-thm51",
+    "hankel-both", "hankel-brute", "scan", "modp-not-prime", "modp", "verify-thmB",
+    "verify-thm51",
 ])
 def test_each_request_runs_only_the_modules_it_needs(argv, expected):
     library, ran = modules_run_by(argv)

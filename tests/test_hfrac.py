@@ -53,30 +53,33 @@ def test_first_step_for_n_5():
     res = alg_step(metallic_model(5))
     assert res.k == 0 and res.a == -1
     assert res.d == Poly(ZZ, [1, -1])
-    res.next_model.validate()
+    assert isinstance(res.next_model, Model)
 
 
-def test_each_model_is_validated_once_by_the_step_that_reads_it(monkeypatch):
-    # alg_step checks its input at entry and hands the next model back
-    # unchecked, so an expansion checks its input once more and nothing twice
+def test_each_model_is_checked_once_when_built(monkeypatch):
+    # the input when `metallic_model` builds it, and each next model when
+    # its step builds it; no step checks a model again. The last step's
+    # model repeats the second one and closes the cycle
     checked, steps = [], []
-    validate, step = Model.validate, hfrac.alg_step
-    monkeypatch.setattr(Model, "validate", lambda self: checked.append(self) or validate(self))
+    check, step = Model.__post_init__, hfrac.alg_step
+    monkeypatch.setattr(Model, "__post_init__", lambda self: checked.append(self) or check(self))
     monkeypatch.setattr(hfrac, "alg_step", lambda model: steps.append(model) or step(model))
     hfraction_of_quadratic(metallic_model(4), metallic_step_cap(4))
     assert len(steps) == 1 + (6 * 4 - 4)  # the head, then one cycle
-    assert checked == [steps[0]] + steps
+    assert checked == steps + [steps[1]]
 
 
-def test_a_corrupted_next_model_raises_at_its_step():
+def test_a_corrupted_model_cannot_be_built():
     m = alg_step(metallic_model(4)).next_model
-    for bad, error in [
-        (Model(m.a, m.b, m.c + Poly.one(ZZ)), "C\\(0\\) = 0"),
-        (Model(m.a, m.b + Poly.one(ZZ), m.c), "B\\(0\\) = 1"),
-        (Model(Poly.zero(ZZ), m.b, m.c), "A != 0"),
+    for a, b, c, error in [
+        (m.a, m.b, m.c + Poly.one(ZZ), "C\\(0\\) = 0"),
+        (m.a, m.b + Poly.one(ZZ), m.c, "B\\(0\\) = 1"),
+        (Poly.zero(ZZ), m.b, m.c, "A != 0"),
+        (m.a, m.b, Poly.zero(ZZ), "C != 0"),
+        (m.a.map_domain(QQ), m.b, m.c, "different domains"),
     ]:
         with pytest.raises(ValueError, match=error):
-            alg_step(bad)
+            Model(a, b, c)
 
 
 def test_step_trace_n5_matches_frozen_rows_with_reentry():
@@ -96,7 +99,6 @@ def test_step_output_invariants_hold_along_the_iteration():
         assert res.d.degree() <= res.k + 1
         nxt = res.next_model
         assert nxt is not None
-        nxt.validate()
         cur = nxt
 
 
@@ -124,7 +126,6 @@ def reference_alg_step(model):
     """The Poly-operator step that `alg_step` replaced: D from a series
     inverse and a product, A D formed twice, every intermediate a Poly or
     Series reduced coefficient by coefficient."""
-    model.validate()
     dom = model.dom
     a_pol, b_pol, c_pol = model.a, model.b, model.c
     k = a_pol.valuation()
@@ -147,7 +148,7 @@ def reference_alg_step(model):
     b_next = (a_pol * d).exact_div_monomial(k).scale(2 * inv_a) - b_pol
     c_next = a_pol.shift(2).scale(-inv_a)
     return hfrac.AlgStepResult(
-        k=k, a=a, d=d, next_model=Model(a_next, b_next, c_next).validate()
+        k=k, a=a, d=d, next_model=Model(a_next, b_next, c_next)
     )
 
 
@@ -203,10 +204,10 @@ def step_models(draw):
     a = [0] * k + [low] + draw(st.lists(_small, max_size=5))
     b = [1] + draw(st.lists(_small, max_size=5))
     c = [0] + draw(st.lists(_small, min_size=1, max_size=5))
-    model = Model(Poly(dom, a), Poly(dom, b), Poly(dom, c))
-    if model.a.is_zero() or model.c.is_zero():
-        model = Model(Poly(dom, [0] * k + [1]), model.b, Poly.q(dom))
-    return model
+    a, c = Poly(dom, a), Poly(dom, c)
+    if a.is_zero() or c.is_zero():
+        a, c = Poly(dom, [0] * k + [1]), Poly.q(dom)
+    return Model(a, Poly(dom, b), c)
 
 
 @st.composite
@@ -240,9 +241,9 @@ def test_step_matches_the_reference_on_rational_roots(model):
 
 
 def test_step_matches_the_reference_on_a_remainder(monkeypatch):
-    # C(0) != 0 leaves -a C(0) q^(2k) in the numerator of A*; validation
-    # would refuse the model, so it is switched off to reach the division
-    monkeypatch.setattr(Model, "validate", lambda self: self)
+    # C(0) != 0 leaves -a C(0) q^(2k) in the numerator of A*; a model
+    # checks C(0) = 0 when built, so the check is switched off to build one
+    monkeypatch.setattr(Model, "__post_init__", None)
     for dom in (ZZ, QQ, prime_field(7)):
         model = Model(Poly(dom, [0, 1, 2]), Poly(dom, [1, 1]), Poly(dom, [1, 1]))
         want = step_outcome(reference_alg_step, model)
@@ -403,9 +404,7 @@ def test_non_unit_lowest_coefficient_raises_over_zz_and_expands_over_qq():
 
 
 def test_shift_with_zero_constant_divides_a_by_q():
-    base = Model(
-        a=Poly(ZZ, [0, -1]), b=Poly(ZZ, [1, 1]), c=Poly(ZZ, [0, 0, 1])
-    ).validate()
+    base = Model(a=Poly(ZZ, [0, -1]), b=Poly(ZZ, [1, 1]), c=Poly(ZZ, [0, 0, 1]))
     shifted = shift_model(base, 0)
     assert shifted.a == Poly(ZZ, [-1])
     assert shifted.b == base.b
@@ -419,9 +418,8 @@ def test_shift_rejects_wrong_constant_term():
 
 def test_shift_rejects_an_unnormalized_model():
     # twice a valid model: B(0) = 2, a unit of QQ, but still not a model
-    doubled = Model(a=Poly(QQ, [0, -2]), b=Poly(QQ, [2, 2]), c=Poly(QQ, [0, 0, 2]))
     with pytest.raises(ValueError, match="B\\(0\\) = 1"):
-        shift_model(doubled, 0)
+        Model(a=Poly(QQ, [0, -2]), b=Poly(QQ, [2, 2]), c=Poly(QQ, [0, 0, 2]))
 
 
 def test_closed_form_shifts_match_iterated_shifting():
@@ -479,7 +477,6 @@ def test_shifted_model_roots_are_the_shifted_series():
 
 def test_shift_chain_extends_past_the_closed_forms():
     deep = shifted_model_chain(3, 7)
-    deep.validate()
     assert deep.c == Poly.monomial(ZZ, 8)
 
 
@@ -685,9 +682,9 @@ def test_determinants_from_stored_terms_match_the_per_term_loop():
             ]
         for p in (2, 3, 5):
             for ell in range(0, n + 4):
+                # A never vanishes mod p (Phi_n is irrational mod every p)
                 model = shifted_model_chain(n, ell).map_domain(prime_field(p))
-                if not model.a.is_zero():
-                    fractions.append(hfraction_of_quadratic(model.validate(), 4000))
+                fractions.append(hfraction_of_quadratic(model, 4000))
     assert any(H.preamble and H.cycle for H in fractions)
     assert any(H.terminated and H.preamble for H in fractions)
     assert sum(not H.cycle and not H.terminated for H in fractions) == 2

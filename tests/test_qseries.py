@@ -84,7 +84,13 @@ def test_model_coefficients_for_n_1():
     assert m.a == P([-1])
     assert m.b == P([1, -1, -1])
     assert m.c == P([0, 1])
-    m.validate()
+
+
+def test_mapping_a_model_to_a_ring_where_a_vanishes_raises():
+    model = Model(Poly(ZZ, [0, 3]), Poly(ZZ, [1, 1]), Poly(ZZ, [0, 1]))
+    with pytest.raises(ValueError, match="model needs A != 0"):
+        model.map_domain(prime_field(3))
+    assert model.map_domain(prime_field(5)).a == Poly(prime_field(5), [0, 3])
 
 
 def test_model_b_matches_factored_cross_identity():
@@ -170,7 +176,7 @@ def random_model(rng, dom):
     c = [dom.coerce(0)] + [coeff() for _ in range(rng.randint(2, 7))]
     for i in rng.sample(range(1, len(c)), 2):
         c[i] = dom.coerce(rng.choice([-2, -1, 1, 2]))
-    return Model(Poly(dom, a), Poly(dom, b), Poly(dom, c)).validate()
+    return Model(Poly(dom, a), Poly(dom, b), Poly(dom, c))
 
 
 def test_sparse_recursion_matches_the_dense_one():

@@ -79,7 +79,8 @@ def test_equality_and_hash_follow_the_field_values():
     assert a != c and not a == c
     assert len({a, b, c}) == 2
     assert expected_hfraction(3) == expected_hfraction(3).map_domain(ZZ)
-    assert Model(d, d, d) != Model(d, d, Poly(ZZ, [0, 1]))
+    q = Poly(ZZ, [0, 1])
+    assert Model(d, d, q) == Model(d, Poly(ZZ, [1, 1]), q) != Model(d, d, q.scale(2))
 
 
 class Pair(Record):
@@ -101,9 +102,20 @@ def test_equality_is_between_instances_of_one_class():
     assert repr(OtherPair(1, y=2)) == "OtherPair(x=1, y=2)"
 
 
+# the records that check an invariant when built need valid fields; the
+# others take zeros
+_ONE, _Q = Poly(ZZ, [1]), Poly(ZZ, [0, 1])
+VALID = {
+    HFTerm: (0, 1, _ONE),
+    RegularCF: (((_ONE, 1),), False),
+    Model: (_ONE, _ONE, _Q),
+}
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_every_record_refuses_assignment_and_deletion(cls):
-    obj = cls(*[0] * len(cls._fields))
+    args = VALID.get(cls, (0,) * len(cls._fields))
+    obj = cls(*args)
     first = cls._fields[0]
     with pytest.raises(AttributeError):
         setattr(obj, first, 5)
@@ -111,7 +123,7 @@ def test_every_record_refuses_assignment_and_deletion(cls):
         delattr(obj, first)
     with pytest.raises(AttributeError):
         obj.extra = 1
-    assert getattr(obj, first) == 0
+    assert getattr(obj, first) == args[0]
 
 
 def test_terminated_fraction_cannot_carry_a_cycle():

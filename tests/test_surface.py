@@ -10,8 +10,8 @@ import pytest
 
 import qmetallic
 from qmetallic import (
-    QQ, ZZ, HankelReport, Poly, RegularCF, Series, SupportProfile, algebra, cli,
-    hfrac, oracle, prime_field, qseries, verify,
+    QQ, ZZ, HFTerm, HankelReport, Model, Poly, RegularCF, Series, SupportProfile,
+    algebra, cli, hfrac, oracle, prime_field, qseries, verify,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -89,6 +89,9 @@ def test_deleted_members_are_gone():
     # the base class keeps only what every ring shares
     stubs = ("from_int", "coerce", "is_unit", "inv", "exact_div")
     assert not set(stubs) & set(vars(algebra.Domain))
+    # a record checks its invariant when it is built, so no caller has to
+    for record in (Model, HFTerm, RegularCF):
+        assert not hasattr(record, "validate"), record
 
 
 # the closed forms of the paper are integral: each is built over ZZ, and a
