@@ -9,11 +9,11 @@ the requests that use them.
 Coefficients are plain Python values combined with plain operators
 (`+ - * **`, truthiness for zero tests). GF(p) arithmetic runs on
 unreduced ints and `Domain.reduce` brings each output coefficient back
-into range(p) once; over ZZ and QQ it is the identity. The paths that
-test `Domain.reduces` first skip it there: the `Poly` and
-`qseries.Series` operators and `hfrac.alg_step`. The others still call
-it on every ring: `Series.invert`, the determinant kernel of QQ and
-GF(p) (`_bareiss_generic`), `qseries.series_of_model`,
+into range(p) once; over ZZ and QQ it is the identity. `Poly` and
+`qseries.Series` share one base, whose `_reduced` stores every operator
+result and skips `reduce` unless `Domain.reduces`. Still calling it on
+every ring: `Series.invert`, the determinant kernel of QQ and GF(p)
+(`_bareiss_generic`), `qseries.series_of_model`,
 `hfrac.hankel_values_from_hfraction`, the `cfrac` dictionary and
 `cfrac.HFTerm.to_json_dict`.
 
@@ -292,49 +292,100 @@ def prime_field(p: int) -> PrimeFieldDomain:
 
 
 # ---------------------------------------------------------------------------
+# Coefficient tuples
+
+
+class _Coeffs:
+    """Base of `Poly` and `qseries.Series`: an immutable coefficient tuple
+    over a Domain. `_make` trusts a tuple in the subclass's stored form
+    (`_store`); public construction coerces."""
+
+    __slots__ = ("dom", "coeffs")
+    _store = tuple
+
+    @classmethod
+    def _make(cls, dom: Domain, coeffs: tuple):
+        self = object.__new__(cls)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
+    def _reduced(cls, dom: Domain, out: list):
+        """Operator results, each reduced once where the domain reduces."""
+        if dom.reduces:
+            out = [dom.reduce(c) for c in out]
+        return cls._make(dom, cls._store(out))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.dom == other.dom
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.dom.name, self.coeffs))
+
+    def _same_dom(self, other) -> Domain:
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self.dom != other.dom:
+            raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
+        return self.dom
+
+    def __neg__(self):
+        return self._reduced(self.dom, [-c for c in self.coeffs])
+
+    def scale(self, c):
+        c = self.dom.coerce(c)
+        return self._reduced(self.dom, [x * c for x in self.coeffs])
+
+    def map_domain(self, new_dom: Domain):
+        return type(self)(new_dom, self.coeffs)
+
+    def valuation(self):
+        """Index of the first nonzero coefficient, or None for zero."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Dense polynomials
 
 
-class Poly:
+class Poly(_Coeffs):
     """Dense univariate polynomial over a Domain.
 
     Immutable. coeffs[i] is the coefficient of q^i; trailing zeros are
     stripped, so the zero polynomial has an empty coefficient tuple.
     """
 
-    __slots__ = ("dom", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, dom: Domain, coeffs, normalized: bool = False):
-        if not normalized:
-            coeffs = [dom.coerce(c) for c in coeffs]
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            coeffs = tuple(coeffs)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def __new__(cls, dom: Domain, coeffs):
+        return cls._make(dom, cls._store([dom.coerce(c) for c in coeffs]))
 
     @staticmethod
-    def _reduced(dom: Domain, out: list) -> "Poly":
-        """Poly of operator results: reduce each once (only where the domain
-        reduces), strip trailing zeros."""
-        if dom.reduces:
-            out = [dom.reduce(c) for c in out]
+    def _store(out: list) -> tuple:
         while out and not out[-1]:
             out.pop()
-        return Poly(dom, tuple(out), normalized=True)
+        return tuple(out)
 
     # -- construction helpers
 
     @staticmethod
     def zero(dom: Domain) -> "Poly":
-        return Poly(dom, (), normalized=True)
+        return Poly._make(dom, ())
 
     @staticmethod
     def one(dom: Domain) -> "Poly":
-        return Poly(dom, (1,), normalized=True)
+        return Poly._make(dom, (1,))
 
     @staticmethod
     def q(dom: Domain) -> "Poly":
@@ -347,8 +398,7 @@ class Poly:
         c = dom.coerce(c)
         if not c:
             return Poly.zero(dom)
-        coeffs = (0,) * e + (c,)
-        return Poly(dom, coeffs, normalized=True)
+        return Poly._make(dom, (0,) * e + (c,))
 
     # -- structure
 
@@ -360,25 +410,8 @@ class Poly:
         orders below every real degree and is never fed into arithmetic."""
         return len(self.coeffs) - 1
 
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient. Undefined for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise ValueError("the zero polynomial has no valuation")
-
     def constant(self):
         return self.coeffs[0] if self.coeffs else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.dom == other.dom
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dom.name, self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -397,9 +430,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self):
-        return Poly._reduced(self.dom, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         dom = self._same_dom(other)
         a, b = self.coeffs, other.coeffs
@@ -412,17 +442,13 @@ class Poly:
                     out[j] += ca * cb
         return Poly._reduced(dom, out)
 
-    def scale(self, c) -> "Poly":
-        c = self.dom.coerce(c)
-        return Poly._reduced(self.dom, [x * c for x in self.coeffs])
-
     def shift(self, k: int) -> "Poly":
         """Multiply by q^k (k >= 0)."""
         if k < 0:
             raise ValueError("use exact_div_monomial for negative shifts")
         if not self.coeffs:
             return self
-        return Poly(self.dom, (0,) * k + self.coeffs, normalized=True)
+        return Poly._make(self.dom, (0,) * k + self.coeffs)
 
     def exact_div_monomial(self, k: int) -> "Poly":
         """Divide by q^k; the low k coefficients must vanish."""
@@ -433,17 +459,7 @@ class Poly:
         low = self.coeffs[:k]
         if any(low):
             raise ExactDivisionError(f"polynomial not divisible by q^{k}")
-        return Poly(self.dom, self.coeffs[k:], normalized=True)
-
-    def map_domain(self, new_dom: Domain) -> "Poly":
-        return Poly(new_dom, tuple(new_dom.coerce(c) for c in self.coeffs))
-
-    def _same_dom(self, other) -> Domain:
-        if not isinstance(other, Poly):
-            raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if self.dom != other.dom:
-            raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
-        return self.dom
+        return Poly._make(self.dom, self.coeffs[k:])
 
     # -- rendering
 

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 from .algebra import ExactDivisionError, Poly, Record, ZZ
 from .cfrac import HFTerm, PeriodicHFraction
-from .qseries import Model, angle_bracket, metallic_model, metallic_series, q_integer
+from .qseries import Model, angle_bracket, metallic_model, q_integer
 
 
 class AlgStepResult(Record):
@@ -84,7 +84,7 @@ def alg_step(model: Model) -> AlgStepResult:
                 d[m + i] -= u * dm
     while not d[-1]:
         d.pop()
-    d_pol = Poly(dom, tuple(d), normalized=True)
+    d_pol = Poly._make(dom, tuple(d))
 
     # E = A D - a q^k B vanishes to order 2k+1, because D matches
     # a q^k B/A that far; it carries the one product A D into A* and B*
@@ -114,7 +114,7 @@ def alg_step(model: Model) -> AlgStepResult:
         raise ExactDivisionError(f"polynomial not divisible by q^{2 * k + 2}")
     if len(num) <= 2 * k + 2:
         return AlgStepResult(k=k, a=a, d=d_pol, next_model=None)
-    a_next = Poly(dom, tuple(num[2 * k + 2:]), normalized=True)
+    a_next = Poly._make(dom, tuple(num[2 * k + 2:]))
 
     # B* = 2 A D/(a q^k) - B = 2 E/(a q^k) + B, and C* = -q^2 A/a
     two_inv_a = 2 * inv_a
@@ -129,13 +129,13 @@ def alg_step(model: Model) -> AlgStepResult:
 def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFraction:
     """Expand the root of a quadratic model into its Hankel fraction.
 
-    Iterates alg_step, recording each (A, B, C) triple; the first repeated
-    triple closes the cycle and the result is returned in canonical form
-    (primitive cycle, shortest preamble). A vanishing tail terminates the
-    fraction instead (rational root). If neither happens within max_steps
-    terms, the partial prefix is returned with an empty cycle and
-    terminated=False; callers can distinguish the three outcomes by
-    inspecting `cycle` and `terminated`.
+    Iterates alg_step, recording each model (an (A, B, C) triple); the
+    first repeated model closes the cycle and the result is returned in
+    canonical form (primitive cycle, shortest preamble). A vanishing tail
+    terminates the fraction instead (rational root). If neither happens
+    within max_steps terms, the partial prefix is returned with an empty
+    cycle and terminated=False; callers can distinguish the three
+    outcomes by inspecting `cycle` and `terminated`.
 
     The expansion runs in the model's own ring. The step divides by the
     lowest A-coefficient, so a model that meets a non-unit one (the
@@ -151,9 +151,8 @@ def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFrac
     cycle = ()
     terminated = False
     while True:
-        key = (model.a, model.b, model.c)
-        if key in seen:
-            first = seen[key]
+        if model in seen:
+            first = seen[model]
             if first == 0:
                 # the head term re-occurs as cycle data; keep index 0 as head
                 cycle = tuple(terms[1:]) + (terms[0],)
@@ -164,7 +163,7 @@ def hfraction_of_quadratic(model: Model, max_steps: int = 1000) -> PeriodicHFrac
         if len(terms) >= max_steps:
             preamble = tuple(terms[1:])
             break
-        seen[key] = len(terms)
+        seen[model] = len(terms)
         step = alg_step(model)
         v = dom.reduce(-step.a) if dom.reduces else -step.a
         terms.append(HFTerm(k=step.k, v=v, d=step.d))
@@ -252,24 +251,20 @@ def expected_hfraction(n: int) -> PeriodicHFraction:
     return PeriodicHFraction(head=head, preamble=(), cycle=tuple(cycle))
 
 
-def shift_model(model: Model, f0) -> Model:
-    """Model of the tail (F - f0)/q, given the root's constant term f0.
+def shift_model(model: Model) -> Model:
+    """Model of the tail (F - f0)/q, where f0 is the root's constant term.
 
-    The update is A' = (A + f0 B + f0^2 C)/q, B' = B + 2 f0 C, C' = q C.
-    Every model has B(0) = 1 and C(0) = 0, so B'(0) = B(0) + 2 f0 C(0) = 1
-    and the result is a model too, with no rescaling.
+    Every model has B(0) = 1 and C(0) = 0, so the constant term of
+    A + B F + C F^2 = 0 reads A(0) + f0 = 0: the model fixes f0 = -A(0).
+    The update is A' = (A + f0 B + f0^2 C)/q, exact by that choice of f0,
+    B' = B + 2 f0 C and C' = q C. B'(0) = B(0) + 2 f0 C(0) = 1, so the
+    result is a model too, with no rescaling.
     """
-    dom = model.dom
-    f0 = dom.coerce(f0)
+    f0 = -model.a.constant()
     a_pol, b_pol, c_pol = model.a, model.b, model.c
     shifted = a_pol + b_pol.scale(f0) + c_pol.scale(f0 * f0)
     if shifted.is_zero():
         raise ValueError("the tail series is zero: the root equals f0 exactly")
-    if shifted.constant():
-        raise ValueError(
-            f"{f0} is not the constant term of the model's root "
-            f"(A + f0*B + f0^2*C has constant term {shifted.constant()})"
-        )
     a_new = shifted.exact_div_monomial(1)
     b_new = b_pol + c_pol.scale(2 * f0)
     c_new = c_pol.shift(1)
@@ -325,17 +320,14 @@ def shifted_metallic_model(n: int, ell: int) -> Model:
 
 
 def shifted_model_chain(n: int, ell: int) -> Model:
-    """Model of the ell-fold coefficient shift built by iterating
-    shift_model along the series coefficients. Works for every ell >= 0,
+    """Model of the ell-fold coefficient shift built by applying
+    shift_model ell times to the metallic model. Works for every ell >= 0,
     beyond the closed-form range of shifted_metallic_model."""
     if ell < 0:
         raise ValueError("shift must be >= 0")
     model = metallic_model(n)
-    if ell == 0:
-        return model
-    coeffs = metallic_series(n, ell).coeffs
-    for i in range(ell):
-        model = shift_model(model, coeffs[i])
+    for _ in range(ell):
+        model = shift_model(model)
     return model
 
 

@@ -2,8 +2,9 @@
 metallic numbers.
 
 `Series` holds the coefficients f_0 .. f_{prec-1} of a power series
-over one of the `algebra` domains; every request that reads a series
-runs this module, so the class lives here rather than in `algebra`.
+over one of the `algebra` domains, on the coefficient base it shares
+with `algebra.Poly`; every request that reads a series runs this
+module, so the class lives here rather than in `algebra`.
 
 The q-deformation of a nonnegative integer n is the polynomial
 [n]_q = 1 + q + ... + q^(n-1). Only these are needed: a q-rational or
@@ -23,43 +24,33 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import Domain, PrecisionError, ZZ, Poly, Record, format_terms
+from .algebra import Domain, PrecisionError, ZZ, Poly, Record, _Coeffs, format_terms
 
 
 # ---------------------------------------------------------------------------
 # Truncated power series
 
 
-class Series:
+class Series(_Coeffs):
     """Truncated power series: the coefficients f_0 .. f_{prec-1} are known.
 
     len(coeffs) == prec always. Arithmetic propagates the minimum precision
     of its inputs; asking for coefficients past prec raises.
     """
 
-    __slots__ = ("dom", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, dom: Domain, coeffs, prec: int = None, normalized=False):
-        if not normalized:
-            coeffs = [dom.coerce(c) for c in coeffs]
-            if prec is None:
-                prec = len(coeffs)
-            if prec < 0:
-                raise PrecisionError("series precision must be >= 0")
-            if len(coeffs) < prec:
-                coeffs = coeffs + [0] * (prec - len(coeffs))
-            else:
-                coeffs = coeffs[:prec]
-            coeffs = tuple(coeffs)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, dom: Domain, coeffs, prec: int = None):
+        coeffs = [dom.coerce(c) for c in coeffs]
+        if prec is None:
+            prec = len(coeffs)
+        if prec < 0:
+            raise PrecisionError("series precision must be >= 0")
+        return cls._make(dom, tuple(coeffs[:prec] + [0] * (prec - len(coeffs))))
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @staticmethod
     def from_poly(p: Poly, prec: int) -> "Series":
@@ -69,18 +60,10 @@ class Series:
     def zero(dom: Domain, prec: int) -> "Series":
         return Series(dom, [], prec)
 
-    def valuation(self):
-        """Index of the first nonzero known coefficient, or None if the
-        series is zero to its precision."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
     def truncate(self, prec: int) -> "Series":
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return Series(self.dom, self.coeffs[:prec], normalized=True)
+        return Series._make(self.dom, self.coeffs[:prec])
 
     def shift_down(self, ell: int) -> "Series":
         """Drop the first ell coefficients: (F - sum_{i<ell} f_i q^i)/q^ell."""
@@ -88,38 +71,13 @@ class Series:
             raise ValueError("shift must be >= 0")
         if ell > self.prec:
             raise PrecisionError(f"cannot drop {ell} terms of a {self.prec}-term series")
-        return Series(self.dom, self.coeffs[ell:], normalized=True)
+        return Series._make(self.dom, self.coeffs[ell:])
 
     def shift_up(self, k: int) -> "Series":
         """Multiply by q^k: prepends k zero coefficients."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        return Series(self.dom, (0,) * k + self.coeffs, normalized=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.dom == other.dom
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dom.name, self.coeffs))
-
-    def _same_dom(self, other) -> Domain:
-        if not isinstance(other, Series):
-            raise TypeError(f"expected Series, got {type(other).__name__}")
-        if self.dom != other.dom:
-            raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
-        return self.dom
-
-    @staticmethod
-    def _reduced(dom: Domain, out) -> "Series":
-        """Series of operator results, each reduced once (only where the
-        domain reduces)."""
-        if dom.reduces:
-            out = [dom.reduce(c) for c in out]
-        return Series(dom, tuple(out), normalized=True)
+        return Series._make(self.dom, (0,) * k + self.coeffs)
 
     def __add__(self, other):
         dom = self._same_dom(other)
@@ -128,9 +86,6 @@ class Series:
     def __sub__(self, other):
         dom = self._same_dom(other)
         return Series._reduced(dom, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Series._reduced(self.dom, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         dom = self._same_dom(other)
@@ -145,10 +100,6 @@ class Series:
                         out[j] += ca * cb
         return Series._reduced(dom, out)
 
-    def scale(self, c) -> "Series":
-        c = self.dom.coerce(c)
-        return Series._reduced(self.dom, [x * c for x in self.coeffs])
-
     def invert(self) -> "Series":
         """Multiplicative inverse; the constant term must be a unit."""
         dom = self.dom
@@ -160,10 +111,7 @@ class Series:
         for m in range(1, self.prec):
             acc = sum(fi * out[m - i] for i, fi in enumerate(f[1:m + 1], 1) if fi)
             out.append(dom.reduce(-acc * inv0))
-        return Series(dom, tuple(out), normalized=True)
-
-    def map_domain(self, new_dom: Domain) -> "Series":
-        return Series(new_dom, [new_dom.coerce(c) for c in self.coeffs], self.prec)
+        return Series._make(dom, tuple(out))
 
     def __str__(self):
         body = format_terms(enumerate(self.coeffs))
@@ -184,7 +132,7 @@ def q_integer(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError(f"q-integers are defined here for n >= 0, got {n}")
-    return Poly(ZZ, (1,) * n, normalized=True)
+    return Poly._make(ZZ, (1,) * n)
 
 
 def angle_bracket(n: int) -> Poly:
@@ -195,7 +143,7 @@ def angle_bracket(n: int) -> Poly:
     """
     if n < 2:
         raise ValueError(f"angle bracket needs n >= 2, got {n}")
-    return Poly(ZZ, (1, 0) + (1,) * (n - 2) + (2, -1), normalized=True)
+    return Poly._make(ZZ, (1, 0) + (1,) * (n - 2) + (2, -1))
 
 
 class Model(Record):
@@ -263,7 +211,8 @@ def series_of_model(model: Model, prec: int) -> Series:
     """Expand the unique power-series root of a model to a given precision.
 
     Coefficient recursion: with G = F^2, the q^m coefficient of
-    A + B*F + C*G determines f_m because B(0) is a unit and C(0) = 0.
+    A + B*F + C*G is f_m plus terms in f_0 .. f_(m-1), because B(0) = 1
+    and C(0) = 0, so setting it to zero gives f_m.
     Only the nonzero coefficients of B and C past the constant term are
     visited, and g_m is summed over half its products by symmetry.
     Exact in the model's domain; O(prec^2) coefficient operations.
@@ -274,7 +223,6 @@ def series_of_model(model: Model, prec: int) -> Series:
     a = list(model.a.coeffs) + [0] * max(0, prec - len(model.a.coeffs))
     b_terms = [(i, bi) for i, bi in enumerate(model.b.coeffs) if i and bi]
     c_terms = [(i, ci) for i, ci in enumerate(model.c.coeffs) if ci]
-    b0_inv = dom.inv(model.b.coeffs[0])
 
     f = []
     g = []  # running coefficients of F^2
@@ -288,13 +236,13 @@ def series_of_model(model: Model, prec: int) -> Series:
             if i > m:
                 break
             acc += ci * g[m - i]
-        f.append(dom.reduce(-acc * b0_inv))
+        f.append(dom.reduce(-acc))
         # update G at index m now that f_m is known
         gm = 2 * sum(f[i] * f[m - i] for i in range((m + 1) // 2))
         if m % 2 == 0:
             gm += f[m // 2] * f[m // 2]
         g.append(dom.reduce(gm))
-    return Series(dom, tuple(f), normalized=True)
+    return Series._make(dom, tuple(f))
 
 
 def metallic_series(n: int, prec: int) -> Series:

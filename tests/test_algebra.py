@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import operator
 import pathlib
 import random
 from fractions import Fraction
@@ -52,6 +53,8 @@ small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
 def test_series_length_always_matches_precision():
     f = Series(ZZ, [1, 2], 5)
     assert f.prec == 5 and len(f.coeffs) == 5
+    # a tuple is padded or cut to prec like a list
+    assert Series(ZZ, (1, 2), 5) == f and Series(ZZ, (1, 2, 3), 2).coeffs == (1, 2)
     assert (f * f).prec == 5
     assert (f + Series(ZZ, [1], 3)).prec == 3
 
@@ -81,6 +84,36 @@ def test_coefficient_past_precision_raises_instead_of_truncating():
 def test_zero_detection_is_relative_to_precision():
     f = Series(ZZ, [0, 0], 2)
     assert f.valuation() is None
+
+
+# --- the coefficient core shared by Poly and Series -------------------------
+
+
+@pytest.mark.parametrize(
+    "value, mapped",
+    [(Poly(ZZ, [1, -2, 7]), (1, 5)), (Series(ZZ, [1, -2, 7], 4), (1, 5, 0, 0))],
+    ids=["Poly", "Series"],
+)
+def test_map_domain_coerces_each_coefficient_once(value, mapped):
+    gf7, seen = prime_field(7), []
+    coerce = gf7.coerce
+
+    def counted(c):
+        seen.append(c)
+        return coerce(c)
+
+    gf7.coerce = counted
+    assert value.map_domain(gf7).coeffs == mapped
+    assert seen == list(value.coeffs)
+
+
+def test_poly_and_series_never_mix():
+    p, s = Poly(ZZ, [1, -2]), Series(ZZ, [1, -2])
+    assert p.coeffs == s.coeffs and p != s and s != p
+    for x, y in ((p, s), (s, p)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, y)
 
 
 # --- exactness of the coefficient domains ------------------------------------

@@ -158,7 +158,7 @@ def reference_series_of_model(model, prec):
             acc += b[i] * f[m - i] + c[i] * g[m - i]
         f.append(dom.reduce(-acc * b0_inv))
         g.append(dom.reduce(sum(f[i] * f[m - i] for i in range(m + 1))))
-    return Series(dom, tuple(f), prec, normalized=True)
+    return Series(dom, f, prec)
 
 
 def random_model(rng, dom):

@@ -92,6 +92,14 @@ def test_deleted_members_are_gone():
     # a record checks its invariant when it is built, so no caller has to
     for record in (Model, HFTerm, RegularCF):
         assert not hasattr(record, "validate"), record
+    # one coefficient core: public construction always coerces, and the
+    # members Poly and Series share are defined once, on their base
+    shared = {"__setattr__", "__eq__", "__hash__", "_same_dom", "_reduced",
+              "__neg__", "scale", "map_domain", "valuation"}
+    for cls in (Poly, Series):
+        assert "normalized" not in inspect.signature(cls).parameters, cls
+        assert not shared & set(vars(cls)), cls
+        assert shared <= set(vars(algebra._Coeffs)), cls
 
 
 # the closed forms of the paper are integral: each is built over ZZ, and a
