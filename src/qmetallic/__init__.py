@@ -6,21 +6,34 @@ Hankel determinants both by closed formula and by literal determinant
 computation, and cross-checks the structural identities relating them.
 All arithmetic is exact: integers, rationals, or prime fields. No floats.
 
-Importing the package runs none of its eight submodules. Each one is put
-in `sys.modules` and on the package as a lazy module
+Importing the package runs none of its library modules. Each one is
+put in `sys.modules` and on the package as a lazy module
 (`importlib.util.LazyLoader`), which runs on its first attribute read; a
-public name such as `qmetallic.run_suite` is read from its module on
-use. So the command line runs only what a subcommand needs:
-`--version` and a malformed command line run none, `series` runs
-`algebra` and `qseries`, `hfrac` adds `cfrac` and `hfrac`, `hankel
---source formula` adds `reports`, `--source both` adds `oracle` too,
-`--source brute` and `scan` run `algebra`, `qseries`, `oracle` and
-`reports`, and `modp` and `verify` run all but `explicit`, which only
-the thm51 suite runs.
+public name such as `qmetallic.run_suite` is read from its defining
+module on use. The modules call each other through these lazy module
+objects, so the command line runs only what a subcommand calls into
+(`cli` itself always runs):
 
-The source of each submodule is kept under 18,000 bytes: a request that
-compiles it without a bytecode cache peaks higher in memory the larger
-the module (see `tests/test_surface.py`).
+- `--version` and a malformed command line run nothing else;
+- every other request runs `commands`, and a well-formed one `algebra`
+  and `poly`;
+- `series` adds `qseries`;
+- `hfrac` adds `cfrac` and `template`, and `hankel --source formula`
+  `reports` too: neither runs the expansion (`hfrac`) or `qseries`;
+- `hankel --source brute` and `scan` add `qseries`, `oracle` and
+  `reports`, and `--source both` the formula route's modules too;
+- `verify --suite thmB`, `thmC` and `thmD` add `verify`, `reports`,
+  `cfrac` and `template`; thmA adds the expansion, `hfrac` and
+  `qseries`; thm51, symmetries and baselines add `crosschecks` and the
+  modules their checkers read (`explicit` only for thm51);
+- `modp` adds `fields`, `modp`, `hfrac`, `qseries`, `cfrac`,
+  `template` and `reports`, and `oracle` only beyond the shift n+1.
+
+Each module is kept under 2,000 AST nodes and 18,000 bytes of source:
+a request that compiles it without a bytecode cache peaks higher in
+memory and takes longer the larger the modules it compiles (see
+`tests/test_surface.py`). A module that lost names to a split still
+serves them, from their new module on first read (PEP 562).
 """
 
 import importlib.util
@@ -34,28 +47,28 @@ SUITES = ("thmA", "thmB", "thmC", "thmD", "thm51", "symmetries", "baselines", "a
 
 # public names by defining submodule
 _EXPORTS = {
-    "algebra": "ZZ QQ prime_field Poly det_fraction_free is_prime "
-               "ExactDivisionError PrecisionError",
-    "cfrac": "HFTerm PeriodicHFraction greedy_hfraction RegularCF artin_expand "
-             "hf_to_artin artin_to_hf",
+    "algebra": "ZZ det_fraction_free ExactDivisionError PrecisionError",
+    "poly": "Poly q_integer angle_bracket",
+    "fields": "QQ prime_field is_prime",
+    "qseries": "Series Model metallic_model metallic_series series_of_model",
+    "qrational": "q_rational q_rational_pair catalan_series motzkin_series",
+    "cfrac": "HFTerm PeriodicHFraction",
+    "artin": "greedy_hfraction RegularCF artin_expand hf_to_artin artin_to_hf",
+    "hfrac": "AlgStepResult alg_step hfraction_of_quadratic metallic_step_cap "
+             "shift_model shifted_metallic_model shifted_model_chain",
+    "template": "expected_hfraction hfraction_of_shift SupportProfile "
+                "support_profile hankel_values_from_hfraction",
+    "oracle": "leading_minors hankel_bruteforce_values hankel_window",
     "explicit": "explicit_delta explicit_support_index explicit_delta_sequence "
                 "support_membership support_sets",
-    "hfrac": "AlgStepResult alg_step hfraction_of_quadratic expected_hfraction "
-             "metallic_step_cap shift_model shifted_metallic_model "
-             "shifted_model_chain hfraction_of_shift "
-             "SupportProfile support_profile hankel_values_from_hfraction",
-    "oracle": "leading_minors hankel_bruteforce_values hankel_window",
-    "qseries": "Series q_integer angle_bracket Model metallic_model "
-               "metallic_series series_of_model q_rational q_rational_pair "
-               "catalan_series motzkin_series",
     "reports": "CheckResult HankelReport ModpReport ScanReport "
                "hankel_formula_values hankel_sequence conjecture_scan",
     "verify": "check_value_set_and_periodicity gale_robinson_check "
-              "check_contiguity check_hfraction_shape "
-              "check_explicit_reconstruction check_delta_symmetry "
-              "check_support_membership check_profile_identities "
-              "check_stream_symmetries modp_analysis baseline_catalan_motzkin "
-              "run_suite",
+              "check_contiguity check_hfraction_shape run_suite",
+    "crosschecks": "check_explicit_reconstruction check_delta_symmetry "
+                   "check_support_membership check_profile_identities "
+                   "check_stream_symmetries baseline_catalan_motzkin",
+    "modp": "modp_analysis",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["SUITES", *_EXPORTS, *_OWNER]
@@ -70,7 +83,8 @@ def _lazy(name: str):
     return module
 
 
-globals().update({name: _lazy(name) for name in _EXPORTS})
+# `commands`, the subcommands of `cli`, exports no name but is lazy too
+globals().update({name: _lazy(name) for name in (*_EXPORTS, "commands")})
 
 
 def __getattr__(name: str):

@@ -1,10 +1,14 @@
-"""Exact coefficient arithmetic.
+"""Exact coefficient arithmetic: the core.
 
-Domains (integers, rationals, prime fields), dense univariate polynomials,
-the frozen `Record` base and fraction-free determinants. Everything here
-is exact; no floating point anywhere. Power series (`qseries.Series`)
-and the integer determinant kernel (`oracle.leading_minors`) live beside
-the requests that use them.
+The two errors, the frozen `Record` base, the `Domain` base and ZZ, and
+fraction-free determinants. Everything in the package is exact; no
+floating point anywhere. The rest of the arithmetic sits beside it, one
+module each, so that a request compiles only what it calls:
+`poly` (the coefficient base, `Poly`, q-integers), `fields` (QQ, GF(p)
+and primality), `qseries.Series` and the integer determinant kernel
+`oracle.leading_minors`. The names that used to live here (`Poly`, `QQ`,
+`prime_field`, `is_prime`, ...) are still served by this module, from
+their new one on first read.
 
 Coefficients are plain Python values combined with plain operators
 (`+ - * **`, truthiness for zero tests). GF(p) arithmetic runs on
@@ -13,8 +17,8 @@ into range(p) once; over ZZ and QQ it is the identity. `Poly` and
 `qseries.Series` share one base, whose `_reduced` stores every operator
 result and skips `reduce` unless `Domain.reduces`. Still calling it on
 every ring: `Series.invert`, the determinant kernel of QQ and GF(p)
-(`_bareiss_generic`), `qseries.series_of_model`,
-`hfrac.hankel_values_from_hfraction`, the `cfrac` dictionary and
+(`fields._bareiss_generic`), `qseries.series_of_model`,
+`template.hankel_values_from_hfraction`, the `artin` dictionary and
 `cfrac.HFTerm.to_json_dict`.
 
 A ring has five members: `name`, `reduces`, `reduce`, `coerce` and
@@ -157,6 +161,11 @@ class Domain:
 class IntegerDomain(Domain):
     name = "ZZ"
 
+    def __reduce__(self):
+        # rings compare by identity (`F.dom is not ZZ`), so a copy or an
+        # unpickled ZZ is the module's own instance
+        return "ZZ"
+
     def coerce(self, x):
         if isinstance(x, bool):
             raise TypeError("bool is not an integer coefficient")
@@ -176,332 +185,7 @@ class IntegerDomain(Domain):
         raise ExactDivisionError(f"{a} is not a unit in ZZ")
 
 
-class RationalDomain(Domain):
-    """Elements are Fractions, and the ints 0 and 1 (see `Domain`). No
-    float can arise: the package's only `/` is `inv`'s `Fraction(1) / a`.
-    The methods that make or recognise a Fraction import `fractions`
-    (which loads `decimal`) when called, so a run that stays in ZZ and
-    GF(p), as every command line does, never loads it.
-    They use `import fractions`, not `from fractions import Fraction`:
-    once loaded, it costs about 0.2 us a call against 1.3 us (CPython
-    3.11, 2-vCPU VM)."""
-
-    name = "QQ"
-
-    def coerce(self, x):
-        import fractions
-
-        if isinstance(x, bool):
-            raise TypeError("bool is not a rational coefficient")
-        if isinstance(x, (int, fractions.Fraction)):
-            return fractions.Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into QQ")
-
-    def inv(self, a):
-        if not a:
-            raise ExactDivisionError("0 is not a unit in QQ")
-        import fractions
-
-        return fractions.Fraction(1) / a
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Smallest odd composite that is a strong pseudoprime to every base above
-# (Sorenson and Webster, Math. Comp. 86 (2017)); below it the test is exact.
-PRIMALITY_BOUND = 3317044064679887385961981
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin primality test for p < PRIMALITY_BOUND.
-
-    Larger p raise ValueError: no fixed base set is proved for them.
-    """
-    if p < 2:
-        return False
-    if p >= PRIMALITY_BOUND:
-        raise ValueError(
-            f"primality is decided only below {PRIMALITY_BOUND}, got {p}"
-        )
-    for b in _MR_BASES:
-        if p % b == 0:
-            return p == b
-    d, s = p - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class PrimeFieldDomain(Domain):
-    """Integers modulo a prime, stored as ints in range(p)."""
-
-    reduces = True
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus must be a prime, got {p}")
-        self.p = p
-        self.name = f"GF({p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeFieldDomain) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def coerce(self, x):
-        if isinstance(x, bool):
-            raise TypeError("bool is not a field coefficient")
-        if isinstance(x, int):
-            return x % self.p
-        import fractions
-
-        if isinstance(x, fractions.Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(den, -1, self.p) % self.p
-        raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
-
-    def reduce(self, x):
-        return x % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ExactDivisionError(f"{a} is not a unit in {self.name}")
-        return pow(a, -1, self.p)
-
-
 ZZ = IntegerDomain()
-QQ = RationalDomain()
-
-
-def prime_field(p: int) -> PrimeFieldDomain:
-    # no cache: fields compare and hash by p, so a polynomial or model
-    # built over two instances of one GF(p) is one value and one dict key
-    return PrimeFieldDomain(p)
-
-
-# ---------------------------------------------------------------------------
-# Coefficient tuples
-
-
-class _Coeffs:
-    """Base of `Poly` and `qseries.Series`: an immutable coefficient tuple
-    over a Domain. `_make` trusts a tuple in the subclass's stored form
-    (`_store`); public construction coerces."""
-
-    __slots__ = ("dom", "coeffs")
-    _store = tuple
-
-    @classmethod
-    def _make(cls, dom: Domain, coeffs: tuple):
-        self = object.__new__(cls)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
-
-    @classmethod
-    def _reduced(cls, dom: Domain, out: list):
-        """Operator results, each reduced once where the domain reduces."""
-        if dom.reduces:
-            out = [dom.reduce(c) for c in out]
-        return cls._make(dom, cls._store(out))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.dom == other.dom
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dom.name, self.coeffs))
-
-    def _same_dom(self, other) -> Domain:
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if self.dom != other.dom:
-            raise TypeError(f"domain mismatch: {self.dom} vs {other.dom}")
-        return self.dom
-
-    def __neg__(self):
-        return self._reduced(self.dom, [-c for c in self.coeffs])
-
-    def scale(self, c):
-        c = self.dom.coerce(c)
-        return self._reduced(self.dom, [x * c for x in self.coeffs])
-
-    def map_domain(self, new_dom: Domain):
-        return type(self)(new_dom, self.coeffs)
-
-    def valuation(self):
-        """Index of the first nonzero coefficient, or None for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomials
-
-
-class Poly(_Coeffs):
-    """Dense univariate polynomial over a Domain.
-
-    Immutable. coeffs[i] is the coefficient of q^i; trailing zeros are
-    stripped, so the zero polynomial has an empty coefficient tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, dom: Domain, coeffs):
-        return cls._make(dom, cls._store([dom.coerce(c) for c in coeffs]))
-
-    @staticmethod
-    def _store(out: list) -> tuple:
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-
-    # -- construction helpers
-
-    @staticmethod
-    def zero(dom: Domain) -> "Poly":
-        return Poly._make(dom, ())
-
-    @staticmethod
-    def one(dom: Domain) -> "Poly":
-        return Poly._make(dom, (1,))
-
-    @staticmethod
-    def q(dom: Domain) -> "Poly":
-        return Poly.monomial(dom, 1)
-
-    @staticmethod
-    def monomial(dom: Domain, e: int, c=1) -> "Poly":
-        if e < 0:
-            raise ValueError("monomial exponent must be >= 0")
-        c = dom.coerce(c)
-        if not c:
-            return Poly.zero(dom)
-        return Poly._make(dom, (0,) * e + (c,))
-
-    # -- structure
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        """Degree, or -1 for the zero polynomial. The -1 is a sentinel: it
-        orders below every real degree and is never fed into arithmetic."""
-        return len(self.coeffs) - 1
-
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        a, b, dom = self.coeffs, other.coeffs, self._same_dom(other)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly._reduced(dom, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        dom = self._same_dom(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(dom)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        return Poly._reduced(dom, out)
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by q^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("use exact_div_monomial for negative shifts")
-        if not self.coeffs:
-            return self
-        return Poly._make(self.dom, (0,) * k + self.coeffs)
-
-    def exact_div_monomial(self, k: int) -> "Poly":
-        """Divide by q^k; the low k coefficients must vanish."""
-        if k == 0:
-            return self
-        if not self.coeffs:
-            return self
-        low = self.coeffs[:k]
-        if any(low):
-            raise ExactDivisionError(f"polynomial not divisible by q^{k}")
-        return Poly._make(self.dom, self.coeffs[k:])
-
-    # -- rendering
-
-    def __str__(self):
-        return format_terms(enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({self.dom}, {list(self.coeffs)!r})"
-
-
-def format_terms(indexed_coeffs) -> str:
-    """Render coefficient data in ascending powers of q: '1 - 2q - q^3'."""
-    parts = []
-    for i, c in indexed_coeffs:
-        if not c:
-            continue
-        neg = _is_negative(c)
-        mag = -c if neg else c
-        if i == 0:
-            body = _coeff_str(mag)
-        else:
-            var = "q" if i == 1 else f"q^{i}"
-            body = var if mag == 1 else f"{_coeff_str(mag)}{var}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts) if parts else "0"
-
-
-# Coefficients are ints or Fractions, and both have a denominator (1 for
-# an int), so these two tell them apart without importing `fractions`.
-
-
-def _is_negative(c) -> bool:
-    return hasattr(c, "denominator") and c < 0
-
-
-def _coeff_str(c) -> str:
-    if getattr(c, "denominator", 1) != 1:
-        return f"({c})"
-    return str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +194,9 @@ def _coeff_str(c) -> str:
 
 def det_fraction_free(rows, dom: Domain):
     """Determinant of a square matrix over dom, given as rows, by Bareiss
-    fraction-free elimination: `oracle.leading_minors` over ZZ (imported
-    on use), row pivoting over other domains.
+    fraction-free elimination: `oracle.leading_minors` over ZZ, row
+    pivoting (`fields._bareiss_generic`) over other domains, each
+    imported on use.
 
     All intermediate divisions are exact by construction (Sylvester's
     identity), so the computation stays in the domain. The empty 0x0
@@ -527,30 +212,26 @@ def det_fraction_free(rows, dom: Domain):
         from .oracle import leading_minors
 
         return leading_minors(rows)[-1]
+    from .fields import _bareiss_generic
+
     return _bareiss_generic(dom, rows)
 
 
-def _bareiss_generic(dom: Domain, m):
-    # Over a field: each division by the previous pivot is exact, so it is
-    # one multiplication by an inverse taken once per pivot.
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        inv_prev = dom.inv(prev)
-        for i in range(k + 1, n):
-            lead = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = dom.reduce((m[i][j] * pivot - lead * m[k][j]) * inv_prev)
-        prev = pivot
-    d = m[n - 1][n - 1]
-    return dom.reduce(-d) if sign < 0 else d
+# ---------------------------------------------------------------------------
+# Names defined elsewhere, served here on first read (PEP 562): binding
+# `poly` and `fields` as the package's lazy modules compiles neither, so
+# a request that never reads one of these never compiles its module
+
+_POLY = ("_Coeffs", "Poly", "format_terms")
+_FIELDS = ("RationalDomain", "QQ", "PrimeFieldDomain", "prime_field",
+           "PRIMALITY_BOUND", "is_prime", "_bareiss_generic")
+
+
+def __getattr__(name: str):
+    from . import fields, poly
+
+    if name in _POLY:
+        return getattr(poly, name)
+    if name in _FIELDS:
+        return getattr(fields, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ fraction's bookkeeping; nothing here computes a determinant.
 
 from __future__ import annotations
 
-from .hfrac import expected_hfraction, support_profile
+from . import template
 
 
 def _sign_pow(e: int) -> int:
@@ -125,7 +125,7 @@ def support_membership(n: int, j: int):
 def support_sets(n: int):
     """The three support classes within one period window, as sets:
     support indices of fraction terms congruent to 0, 1, 2 mod 3."""
-    prof = support_profile(expected_hfraction(n), 6 * n - 4)
+    prof = template.support_profile(template.expected_hfraction(n), 6 * n - 4)
     out = ([], [], [])
     for i, s in enumerate(prof.s_seq):
         out[i % 3].append(s)

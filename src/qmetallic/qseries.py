@@ -1,19 +1,17 @@
-"""Truncated power series, and q-deformed integers, rationals and
-metallic numbers.
+"""Truncated power series and the q-deformed metallic numbers.
 
 `Series` holds the coefficients f_0 .. f_{prec-1} of a power series
 over one of the `algebra` domains, on the coefficient base it shares
-with `algebra.Poly`; every request that reads a series runs this
-module, so the class lives here rather than in `algebra`.
+with `poly.Poly`; every request that reads a series runs this module,
+so the class lives here rather than in `poly`.
 
-The q-deformation of a nonnegative integer n is the polynomial
-[n]_q = 1 + q + ... + q^(n-1). Only these are needed: a q-rational or
-q-real (Morier-Genoud and Ovsienko) is built from the digits of a
-regular continued fraction of a positive number, and those digits are
-nonnegative. A metallic number (n + sqrt(n^2+4))/2 deforms to a power
-series Phi_n that is a root of an explicit quadratic equation with
-polynomial coefficients; `metallic_model` builds that equation and
-`series_of_model` expands any such root as an exact power series.
+A metallic number (n + sqrt(n^2+4))/2 deforms to a power series Phi_n
+that is a root of an explicit quadratic equation with polynomial
+coefficients; `metallic_model` builds that equation from the q-integer
+[n]_q = 1 + q + ... + q^(n-1) of `poly`, and `series_of_model` expands
+any such root as an exact power series. The q-rationals and the Catalan
+and Motzkin series are in `qrational`; this module still serves their
+names, and those of the q-integers, from there.
 
 Every builder here works over ZZ with plain ints: the objects of the
 paper are integral. A caller that needs another ring maps the result
@@ -22,9 +20,9 @@ once with `map_domain`.
 
 from __future__ import annotations
 
-from math import comb
-
-from .algebra import Domain, PrecisionError, ZZ, Poly, Record, _Coeffs, format_terms
+from .algebra import Domain, PrecisionError, ZZ, Record
+from .poly import Poly, _Coeffs, format_terms, q_integer
+from .poly import angle_bracket  # re-exported: it was defined here
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +120,7 @@ class Series(_Coeffs):
 
 
 # ---------------------------------------------------------------------------
-# q-integers and quadratic models
-
-
-def q_integer(n: int) -> Poly:
-    """The q-deformation [n]_q = 1 + q + ... + q^(n-1) of an integer n >= 0.
-
-    Satisfies [n+1]_q = q*[n]_q + 1.
-    """
-    if n < 0:
-        raise ValueError(f"q-integers are defined here for n >= 0, got {n}")
-    return Poly._make(ZZ, (1,) * n)
-
-
-def angle_bracket(n: int) -> Poly:
-    """The auxiliary polynomial q*[n]_q + (1 + q^n)(1 - q), defined for n >= 2.
-
-    Explicitly 1 + 2q^2 - q^3 for n = 2 and
-    1 + q^2 + q^3 + ... + q^(n-1) + 2q^n - q^(n+1) for n >= 3.
-    """
-    if n < 2:
-        raise ValueError(f"angle bracket needs n >= 2, got {n}")
-    return Poly._make(ZZ, (1, 0) + (1,) * (n - 2) + (2, -1))
+# Quadratic models
 
 
 class Model(Record):
@@ -250,69 +227,14 @@ def metallic_series(n: int, prec: int) -> Series:
     return series_of_model(metallic_model(n), prec)
 
 
-def continued_fraction_digits(x) -> list:
-    """Regular continued fraction digits [a0; a1, a2, ...] of a rational
-    x >= 0 (an int or a Fraction)."""
-    if x < 0:
-        raise ValueError("negative values have no deformation here")
-    digits = []
-    num, den = x.numerator, x.denominator
-    while True:
-        a, r = divmod(num, den)
-        digits.append(a)
-        if r == 0:
-            return digits
-        num, den = den, r
+# the names that `qrational` defines, served here on first read (PEP 562)
+_QRATIONAL = ("continued_fraction_digits", "q_rational_pair", "q_rational",
+              "catalan_series", "motzkin_series")
 
 
-def q_rational_pair(x):
-    """The q-deformation of a nonnegative rational as a fraction (P, Q) of
-    polynomials with Q(0) = 1.
+def __getattr__(name: str):
+    from . import qrational
 
-    Built bottom-up from the continued fraction of x, alternating between
-    deformations in q (even levels) and in 1/q (odd levels).
-    """
-    import fractions  # only q-rationals need it
-
-    x = fractions.Fraction(x)
-    digits = continued_fraction_digits(x)
-    m = len(digits) - 1
-    last = digits[m]
-    if m % 2 == 0:
-        p_cur, q_cur = q_integer(last), Poly.one(ZZ)
-    else:
-        p_cur, q_cur = q_integer(last), Poly.monomial(ZZ, last - 1)
-    for i in range(m - 1, -1, -1):
-        ai = digits[i]
-        if i % 2 == 0:
-            p_next = q_integer(ai) * p_cur + Poly.monomial(ZZ, ai) * q_cur
-            q_next = p_cur
-        else:
-            p_next = Poly.q(ZZ) * q_integer(ai) * p_cur + q_cur
-            q_next = Poly.monomial(ZZ, ai) * p_cur
-        p_cur, q_cur = p_next, q_next
-    u = q_cur.constant()
-    if u not in (1, -1):
-        raise ArithmeticError(f"denominator constant term {u} not a unit")
-    # a unit of ZZ is its own inverse, so scaling by it makes Q(0) = 1
-    return p_cur.scale(u), q_cur.scale(u)
-
-
-def q_rational(x, prec: int) -> Series:
-    """Taylor expansion of the q-deformation of a nonnegative rational."""
-    p, q = q_rational_pair(x)
-    return Series.from_poly(p, prec) * Series.from_poly(q, prec).invert()
-
-
-def catalan_series(prec: int) -> Series:
-    """Generating series of the Catalan numbers 1, 1, 2, 5, 14, ..."""
-    return Series(ZZ, [comb(2 * i, i) // (i + 1) for i in range(max(prec, 0))], prec)
-
-
-def motzkin_series(prec: int) -> Series:
-    """Generating series of the Motzkin numbers 1, 1, 2, 4, 9, 21, ..."""
-    coeffs = [
-        sum(comb(i, 2 * k) * (comb(2 * k, k) // (k + 1)) for k in range(i // 2 + 1))
-        for i in range(max(prec, 0))
-    ]
-    return Series(ZZ, coeffs, prec)
+    if name in _QRATIONAL:
+        return getattr(qrational, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,16 +3,16 @@
 `CheckResult` is the outcome of one check; `HankelReport`, `ModpReport`
 and `ScanReport` are the payloads of `hankel`, `modp` and `scan`. The
 windows come by either route: `hankel_formula_values` reads the product
-formula off the periodic fraction (`hfrac`), and `hankel_sequence` and
-`conjecture_scan` also take the brute-force values of `oracle`. Both
-are bound as lazy modules and run on first use, so `hankel --source
-formula` never runs `oracle`, `scan` never runs `hfrac`, and neither
-runs `verify`.
+formula off the periodic fraction (`template`), and `hankel_sequence`
+and `conjecture_scan` also take the brute-force values of `oracle`.
+Both are bound as lazy modules and run on first use, so `hankel --source
+formula` never runs `oracle`, `scan` never runs `template`, and neither
+runs `verify` or the expansion of `hfrac`.
 """
 
 from __future__ import annotations
 
-from . import hfrac, oracle
+from . import oracle, template
 from .algebra import Record
 
 HANKEL_SOURCES = ("formula", "brute_force", "both")
@@ -140,7 +140,7 @@ class ScanReport(Record):
 def hankel_formula_values(n: int, ell: int, count: int) -> list:
     """First count Hankel determinants via the periodic-fraction product
     formula. Available for ell <= n+1 (where the fraction is known)."""
-    return hfrac.hankel_values_from_hfraction(hfrac.hfraction_of_shift(n, ell), count)
+    return template.hankel_values_from_hfraction(template.hfraction_of_shift(n, ell), count)
 
 
 def hankel_sequence(n: int, ell: int, horizon: int, source: str = "both") -> HankelReport:

@@ -296,8 +296,8 @@ def test_csv_leaves_a_missing_value_empty(capsys):
 
 def corrupt_formula_route(monkeypatch):
     """Raise the value at j = 3 of every ell = 1 formula window by one, in
-    `reports` (which `hankel` calls) and in `verify` (the checkers and
-    `modp`), the two modules that read the formula route."""
+    `reports`, the one module that holds the formula route: `hankel`,
+    the checkers of `verify` and `modp` all call it through the module."""
     real = reports.hankel_formula_values
 
     def corrupted(n, ell, count):
@@ -305,7 +305,6 @@ def corrupt_formula_route(monkeypatch):
         return [v + 1 if j == 3 and ell == 1 else v for j, v in enumerate(values)]
 
     monkeypatch.setattr(reports, "hankel_formula_values", corrupted)
-    monkeypatch.setattr(verify, "hankel_formula_values", corrupted)
 
 
 @pytest.mark.parametrize(
@@ -410,13 +409,19 @@ def test_console_script_runs():
     assert r.returncode == 0 and "1 + q^2" in r.stdout
 
 
+PACKAGE = ROOT / "src" / "qmetallic"
+# every module but `cli`, which every request runs, and the package files
 LIBRARY = {
-    "algebra", "cfrac", "explicit", "hfrac", "oracle", "qseries", "reports", "verify",
+    "algebra", "artin", "cfrac", "commands", "crosschecks", "explicit", "fields",
+    "hfrac", "modp", "oracle", "poly", "qrational", "qseries", "reports",
+    "template", "verify",
 }
-# what a request that expands the fraction runs, and what one that takes
-# only brute-force windows runs, and no more
-FRACTION = {"algebra", "cfrac", "hfrac", "qseries"}
-BRUTE = {"algebra", "oracle", "qseries", "reports"}
+# what every well-formed request runs; what one that reads the fraction's
+# product formula runs (no expansion, no power series); and what one that
+# takes only brute-force windows runs, and no more
+CORE = {"commands", "algebra", "poly"}
+FORMULA = CORE | {"cfrac", "template"}
+BRUTE = CORE | {"qseries", "oracle", "reports"}
 
 # one command line in a fresh interpreter; the last line of stderr lists
 # the modules that ran. A lazy library module sits in sys.modules before
@@ -449,14 +454,18 @@ def modules_run_by(argv) -> tuple:
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
-    # each costs start-up time in every CLI process; the request runs every
-    # library module, so that none of them can load one unseen. Every
-    # command line stays in ZZ and GF(p), so none needs `fractions` (which
-    # loads `decimal`): only the QQ methods import it
-    argv = ["verify", "--suite", "thm51", "--n", "3", "--out", str(tmp_path / "out")]
-    library, ran = modules_run_by(argv)
-    assert library == LIBRARY
-    assert {"dataclasses", "inspect", "fractions", "decimal"}.isdisjoint(ran)
+    # each costs start-up time in every CLI process; the two requests run
+    # every library module that a command line runs (all but `artin`), so
+    # that none of them can load one unseen. Every command line stays in ZZ
+    # and GF(p), so none needs `fractions` (which loads `decimal`): only
+    # the QQ methods import it
+    out = str(tmp_path / "out")
+    library = set()
+    for argv in (["verify", "--suite", "all", "--n", "3"], ["modp", "--n", "3", "--p", "7"]):
+        ran_library, ran = modules_run_by(argv + ["--out", out])
+        library |= ran_library
+        assert {"dataclasses", "inspect", "fractions", "decimal"}.isdisjoint(ran)
+    assert library == LIBRARY - {"artin"}
 
 
 def test_a_qq_expansion_loads_fractions_on_first_use():
@@ -484,32 +493,57 @@ print(before, "fractions" in sys.modules, hf.dom, hashlib.sha256(text.encode()).
     ]
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["--version"], set()),
-    (["series"], set()),  # argparse's usage error
-    (["verify", "--suite", "nope"], set()),  # the suite names are not in verify
-    (["series", "--n", "3"], {"algebra", "qseries"}),
-    (["hfrac", "--n", "3"], FRACTION),
+def compiled_nodes(modules) -> int:
+    """The AST nodes that a request compiles: `cli` and the library
+    modules it runs (the package's own files are the same for all)."""
+    return sum(
+        sum(1 for _ in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text())))
+        for m in {"cli", *modules}
+    )
+
+
+# Each row pins the modules a request runs, and a budget for the AST nodes
+# it compiles, about 5 % over the measured sum. The benchmark runs every
+# request from source without a bytecode cache, so this sum sets both the
+# compile time and the peak RSS of a short request; unlike either, it is
+# exact, so a module that creeps back onto a path shows here at once.
+@pytest.mark.parametrize("argv, expected, budget", [
+    (["--version"], set(), 775),
+    (["series"], set(), 775),  # argparse's usage error
+    (["verify", "--suite", "nope"], set(), 775),  # the suite names are not in verify
+    (["series", "--n", "3"], CORE | {"qseries"}, 6_650),
+    # the fraction is the template's: neither `hfrac` nor `hankel
+    # --source formula` runs the expansion (`hfrac`) or `qseries`
+    (["hfrac", "--n", "3"], FORMULA, 7_450),
     # the two routes' windows are in `reports`: no `hankel` or `scan`
     # request runs the checkers of `verify` or the closed forms of
     # `explicit`, and only the brute-force route runs `oracle`
-    (["hankel", "--n", "3", "--source", "formula"], FRACTION | {"reports"}),
-    (["hankel", "--n", "3", "--source", "both"], FRACTION | BRUTE),
-    (["hankel", "--n", "3", "--source", "brute"], BRUTE),
-    (["scan", "--n", "1"], BRUTE),
-    (["modp", "--n", "3", "--p", "4"], {"algebra"}),  # a usage error
+    (["hankel", "--n", "3", "--source", "formula"], FORMULA | {"reports"}, 8_500),
+    (["hankel", "--n", "3", "--source", "both"], FORMULA | BRUTE, 11_350),
+    (["hankel", "--n", "3", "--source", "brute"], BRUTE, 9_000),
+    (["scan", "--n", "1"], BRUTE, 9_000),
+    (["modp", "--n", "3", "--p", "4"], {"commands", "algebra", "fields"}, 4_550),  # a usage error
+    # `modp` expands over GF(p) and reads the formula route, but runs
+    # neither `verify` nor `explicit`, and `oracle` only beyond ell = n+1
+    (["modp", "--n", "3", "--p", "7"],
+     FORMULA | {"fields", "modp", "hfrac", "qseries", "reports"}, 13_300),
+    # thmB..thmD read only the formula route: none of the expansion,
+    # `oracle`, `explicit` or `modp`
+    (["verify", "--suite", "thmB", "--n", "3"], FORMULA | {"reports", "verify"}, 9_950),
+    (["verify", "--suite", "thmC", "--n", "3"], FORMULA | {"reports", "verify"}, 9_950),
+    (["verify", "--suite", "thmD", "--n", "3"], FORMULA | {"reports", "verify"}, 9_950),
     # only the thm51 checkers read the closed forms of `explicit`
-    (["modp", "--n", "3", "--p", "7"], LIBRARY - {"explicit"}),
-    (["verify", "--suite", "thmB", "--n", "3"], LIBRARY - {"explicit"}),
-    (["verify", "--suite", "thm51", "--n", "3"], LIBRARY),
+    (["verify", "--suite", "thm51", "--n", "3"],
+     FORMULA | BRUTE | {"verify", "crosschecks", "explicit"}, 15_850),
 ], ids=[
     "version", "usage-error", "unknown-suite", "series", "hfrac", "hankel-formula",
     "hankel-both", "hankel-brute", "scan", "modp-not-prime", "modp", "verify-thmB",
-    "verify-thm51",
+    "verify-thmC", "verify-thmD", "verify-thm51",
 ])
-def test_each_request_runs_only_the_modules_it_needs(argv, expected):
+def test_each_request_runs_only_the_modules_it_needs(argv, expected, budget):
     library, ran = modules_run_by(argv)
     assert library == expected
+    assert compiled_nodes(library) <= budget
     assert "json" not in ran  # only JSON output needs it
     assert "fractions" not in ran  # only QQ needs it
 
@@ -571,3 +605,29 @@ def test_missing_required_argument_exits_2():
         text=True,
     )
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--n", "3"],
+    ["modp", "--n", "3", "--p", "7"],
+    ["hankel", "--n", "2", "--format", "csv"],
+], ids=["verify-all", "modp", "hankel"])
+def test_python_m_never_imports_cli_a_second_time(argv):
+    # under `python -m qmetallic.cli`, cli runs as __main__; a library
+    # module that imported `qmetallic.cli` (for an exit code, say) would
+    # compile and run it again as a second module. -X importtime lists
+    # every module the import system loads; the lazy modules run outside
+    # it and are not listed
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-W", "error", "-m", "qmetallic.cli", *argv],
+        env={**SRC_ENV, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    imported = [
+        line.rpartition("|")[2].strip() for line in r.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "qmetallic" in imported  # the control: the listing shows the package
+    assert "qmetallic.cli" not in imported

@@ -2,9 +2,10 @@
 
 The oracle is the independent check of everything the fraction gives, so
 it must not read the fraction: statically, its in-package imports reach
-only `algebra` and `qseries`; at run time, every brute-force output still
-comes out with each function and constructor of `hfrac` and `cfrac` made
-to raise.
+only the arithmetic (`algebra`, `poly`, `fields`) and the series
+(`qseries`, `qrational`); at run time, every brute-force output still
+comes out with each function and constructor of the four modules that
+hold fraction code (`cfrac`, `artin`, `hfrac`, `template`) made to raise.
 """
 
 import ast
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 import qmetallic
-from qmetallic import cfrac, cli, hfrac, verify
+from qmetallic import artin, cfrac, cli, hfrac, reports, template, verify
 
 import goldens
 
@@ -46,19 +47,29 @@ def package_imports(module: str) -> set:
     return {m for m in found if (PACKAGE / f"{m}.py").exists()}
 
 
-def test_oracle_imports_only_algebra_and_qseries():
-    # the control: the scan does see verify reach the fraction
-    assert "hfrac" in package_imports("verify")
+# the modules that hold fraction code, and every module that calls into them
+FRACTION_MODULES = {"cfrac", "artin", "hfrac", "template"}
+READERS = {"explicit", "reports", "verify", "crosschecks", "modp", "commands", "cli"}
+
+
+def test_oracle_imports_only_arithmetic_and_series():
+    # the controls: the scan does see the modules that read the fraction
+    # reach each fraction module, whether by a lazy binding, at module
+    # level or in a module __getattr__
+    assert {"hfrac", "template"} <= package_imports("verify")
+    assert "template" in package_imports("reports")
+    assert "artin" in package_imports("cfrac")
     # the closure starts at oracle itself: `algebra.det_fraction_free`
     # imports the kernel back from it on use, and that import reaches
-    # nothing new
+    # nothing new; `algebra` and `qseries` serve moved names from `poly`,
+    # `fields` and `qrational`
     closure, todo = {"oracle"}, ["oracle"]
     while todo:
         for dep in package_imports(todo.pop()) - closure:
             closure.add(dep)
             todo.append(dep)
-    assert closure.isdisjoint({"hfrac", "cfrac", "explicit", "reports", "verify", "cli"})
-    assert closure == {"oracle", "algebra", "qseries"}
+    assert closure.isdisjoint(FRACTION_MODULES | READERS)
+    assert closure == {"oracle", "algebra", "poly", "fields", "qseries", "qrational"}
 
 
 class FractionRead(Exception):
@@ -66,10 +77,10 @@ class FractionRead(Exception):
 
 
 def fraction_callables():
-    """Every public function and class that hfrac or cfrac defines."""
+    """Every public function and class that a fraction module defines."""
     return [
         (module, f)
-        for module in (hfrac, cfrac)
+        for module in (cfrac, artin, hfrac, template)
         for name, f in vars(module).items()
         if not name.startswith("_")
         and callable(f)
@@ -79,9 +90,10 @@ def fraction_callables():
 
 @pytest.fixture
 def fraction_barred(monkeypatch):
-    """Make every public function of hfrac and cfrac raise, in every
-    qmetallic module that holds it (`verify` and `cli` import names
-    directly), and every class defined there refuse construction."""
+    """Make every public function of the fraction modules raise, in every
+    qmetallic module that holds it (most callers read it through its
+    module, some import it by name), and every class defined there refuse
+    construction."""
 
     def barred(label):
         def raiser(*args, **kwargs):
@@ -106,9 +118,13 @@ def fraction_barred(monkeypatch):
 def test_formula_route_fails_with_the_fraction_barred(fraction_barred):
     # the control: the bar does reach the route that reads the fraction
     with pytest.raises(FractionRead):
-        verify.hankel_formula_values(2, 1, 12)
+        reports.hankel_formula_values(2, 1, 12)
     with pytest.raises(FractionRead):
         hfrac.PeriodicHFraction(head=None, preamble=(), cycle=())
+    with pytest.raises(FractionRead):
+        hfrac.hfraction_of_quadratic(qmetallic.metallic_model(2))
+    with pytest.raises(FractionRead):
+        artin.artin_expand(qmetallic.metallic_series(2, 8).shift_up(1), 3)
 
 
 BRUTE_ONLY = [

@@ -1,6 +1,10 @@
 """The frozen records (`algebra.Record`): construction, equality, hashing,
-repr and immutability, as the package's result types rely on them."""
+repr and immutability, as the package's result types rely on them; and
+copy, deepcopy and pickle of the coefficient tuples and the records that
+hold them."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,9 +21,12 @@ from qmetallic import (
     QQ,
     RegularCF,
     ScanReport,
+    Series,
     SupportProfile,
     ZZ,
     expected_hfraction,
+    metallic_model,
+    prime_field,
 )
 from qmetallic.algebra import Record
 
@@ -133,3 +140,40 @@ def test_terminated_fraction_cannot_carry_a_cycle():
     with pytest.raises(ValueError):
         PeriodicHFraction(head=head, preamble=(), cycle=(head,), terminated=True)
     assert PeriodicHFraction(head, cycle=(head,)).cycle == (head,)
+
+
+# --- copy, deepcopy and pickle ------------------------------------------
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(7)": prime_field(7)}
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS, ids=list(ROUND_TRIPS))
+@pytest.mark.parametrize("ring", RINGS, ids=list(RINGS))
+def test_values_survive_copy_deepcopy_and_pickle(ring, trip):
+    dom, again = RINGS[ring], ROUND_TRIPS[trip]
+    # ZZ and QQ are singletons that rings are compared with by identity
+    # (`hankel_window` tests `F.dom is not ZZ`); a prime field is equal by p
+    assert again(dom) == dom and (dom.reduces or again(dom) is dom)
+    values = [
+        Poly(dom, [1, -2, 0, 5]),
+        Poly.zero(dom),
+        Series(dom, [3, 0, -1], 5),
+        HFTerm(1, dom.coerce(-1), Poly(dom, [1, 1, -1])),
+        metallic_model(3).map_domain(dom),
+        expected_hfraction(2).map_domain(dom),
+    ]
+    for x in values:
+        y = again(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        dom_of = y.dom if hasattr(y, "dom") else y.d.dom
+        assert dom_of == dom and (dom.reduces or dom_of is dom)
+        # the stored form is kept as it is, and the copy stays immutable
+        if hasattr(y, "coeffs"):
+            assert y.coeffs == x.coeffs
+            with pytest.raises(AttributeError):
+                y.coeffs = ()

@@ -1,5 +1,6 @@
 """The public surface: what `qmetallic` exports, and what it no longer has."""
 
+import ast
 import inspect
 import os
 import pathlib
@@ -18,29 +19,29 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmetallic"
 
 # what `from qmetallic import *` binds: every public name of the package,
-# the eight submodules included
+# the fifteen library modules included (not `commands`, which exports none)
 PUBLIC_NAMES = [
     "AlgStepResult", "CheckResult", "ExactDivisionError", "HFTerm",
     "HankelReport", "Model", "ModpReport", "PeriodicHFraction", "Poly",
     "PrecisionError", "QQ", "RegularCF", "SUITES", "ScanReport", "Series",
-    "SupportProfile", "ZZ", "alg_step", "algebra", "angle_bracket",
+    "SupportProfile", "ZZ", "alg_step", "algebra", "angle_bracket", "artin",
     "artin_expand", "artin_to_hf", "baseline_catalan_motzkin",
     "catalan_series", "cfrac", "check_contiguity", "check_delta_symmetry",
     "check_explicit_reconstruction", "check_hfraction_shape",
     "check_profile_identities", "check_stream_symmetries",
     "check_support_membership", "check_value_set_and_periodicity",
-    "conjecture_scan", "det_fraction_free", "expected_hfraction", "explicit",
+    "conjecture_scan", "crosschecks", "det_fraction_free", "expected_hfraction", "explicit",
     "explicit_delta", "explicit_delta_sequence", "explicit_support_index",
-    "gale_robinson_check", "greedy_hfraction", "hankel_bruteforce_values",
+    "fields", "gale_robinson_check", "greedy_hfraction", "hankel_bruteforce_values",
     "hankel_formula_values", "hankel_sequence", "hankel_values_from_hfraction",
     "hankel_window", "hf_to_artin", "hfrac",
     "hfraction_of_quadratic", "hfraction_of_shift", "is_prime",
     "leading_minors", "metallic_model", "metallic_series", "metallic_step_cap",
-    "modp_analysis", "motzkin_series", "oracle", "prime_field", "q_integer",
-    "q_rational", "q_rational_pair", "qseries", "reports", "run_suite",
-    "series_of_model",
+    "modp", "modp_analysis", "motzkin_series", "oracle", "poly", "prime_field",
+    "q_integer", "q_rational", "q_rational_pair", "qrational", "qseries",
+    "reports", "run_suite", "series_of_model",
     "shift_model", "shifted_metallic_model", "shifted_model_chain",
-    "support_membership", "support_profile", "support_sets", "verify",
+    "support_membership", "support_profile", "support_sets", "template", "verify",
 ]
 
 # names no CLI path, check or acceptance test needed
@@ -144,14 +145,29 @@ def test_dir_lists_every_public_name():
 
 
 # Without a bytecode cache, as the benchmark runs it, every request
-# compiles each module it loads, and the compile of one module, not the
-# mathematics, sets the request's peak memory. The rise in a fresh
-# interpreter's max-RSS from compiling one module of a given size
-# (CPython 3.11, 2-vCPU VM): 10.4 KB +0.75 MB, 13.5 KB +1.12 MB,
-# 15.2 KB +1.25 MB, 17.4 KB +1.38 MB, 19.7 KB +1.88 MB, and +2.12 MB from
-# 25 KB up. Splitting the two 28 KB modules lowered the peak of every
-# request that loaded them.
+# compiles each module it loads, and that compile, not the mathematics,
+# sets a short request's peak memory and most of its time after start-up.
+# A compile-only probe reads VmHWM in a fresh interpreter after `import
+# argparse` and after compiling the package and the modules a request runs
+# (median of 7, CPython 3.11.7, 2-vCPU VM). Peak RSS in MB, before ->
+# after splitting every module over 2,000 AST nodes along the
+# subcommands' paths:
+#
+#   request                    peak RSS (MB)
+#   hfrac                      15.11 -> 14.45
+#   hankel --source formula    15.11 -> 14.52
+#   modp                       15.31 -> 14.60
+#   verify --suite thmB        15.39 -> 14.50
+#   series                     15.04 -> 14.48
+#   scan                       15.02 -> 14.48
+#   --version                  14.60 -> 13.93
+#
+# The compile of the largest module a request loads sets much of its
+# peak, and the nodes of all of them its compile time; each module is
+# held under both caps, and `tests/test_cli.py` pins what each request
+# compiles in all.
 MAX_MODULE_BYTES = 18_000
+MAX_MODULE_NODES = 2_000
 
 
 @pytest.mark.parametrize(
@@ -159,3 +175,31 @@ MAX_MODULE_BYTES = 18_000
 )
 def test_every_module_stays_small_enough_to_compile_cheaply(path):
     assert path.stat().st_size <= MAX_MODULE_BYTES
+    source = path.read_text()
+    assert sum(1 for _ in ast.walk(ast.parse(source))) <= MAX_MODULE_NODES
+
+
+# one fresh interpreter per module, as every request is one: a load-order
+# cycle among the modules shows only on a cold start. `__main__` runs the
+# command line, so it is left out; a lazy module runs on its first
+# attribute read, and running it makes it a plain module
+COLD_IMPORT = (
+    "import importlib, types; m = importlib.import_module({name!r}); "
+    "m.__name__; assert type(m) is types.ModuleType, type(m)"
+)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__main__.py"}),
+    ids=lambda p: p.name,
+)
+def test_every_module_imports_cold(path):
+    name = "qmetallic" if path.stem == "__init__" else f"qmetallic.{path.stem}"
+    r = subprocess.run(
+        [sys.executable, "-W", "error", "-c", COLD_IMPORT.format(name=name)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr

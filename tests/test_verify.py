@@ -51,9 +51,9 @@ from qmetallic import (
     support_profile,
     support_sets,
 )
-from qmetallic import verify
+from qmetallic import hfrac, reports, template
 from qmetallic.algebra import PRIMALITY_BOUND
-from qmetallic.verify import _ultimate_period
+from qmetallic.modp import _ultimate_period
 
 import goldens
 
@@ -253,7 +253,7 @@ def test_gale_robinson_reports_the_first_nonzero_residual(monkeypatch):
     # Gamma_j at j = 9 - (2n+2) = 3, where Gamma_3 = D_3 D_9 - D_4 D_8 + D_6^2
     values = hankel_formula_values(2, 1, 18)
     values[9] += 2
-    monkeypatch.setattr(verify, "hankel_formula_values", lambda *args: list(values))
+    monkeypatch.setattr(reports, "hankel_formula_values", lambda *args: list(values))
     result = gale_robinson_check(2, 1, 12)
     assert not result.passed
     assert result.counterexample == (3, 0, -1 * 3 - 0 * 1 + (-1) ** 2)
@@ -273,7 +273,7 @@ def test_contiguity_small():
 
 def reference_value_set_and_periodicity(n, ell, periods=2):
     P = 2 * n * (n + 1)
-    values = verify.hankel_formula_values(n, ell, (periods + 1) * P)
+    values = reports.hankel_formula_values(n, ell, (periods + 1) * P)
     detail = f"n={n} ell={ell} periods={periods}"
     name = "value_set_and_periodicity"
     for j, v in enumerate(values):
@@ -290,7 +290,7 @@ def reference_value_set_and_periodicity(n, ell, periods=2):
 
 
 def reference_gale_robinson(n, ell, horizon):
-    values = verify.hankel_formula_values(n, ell, horizon + 2 * n + 2)
+    values = reports.hankel_formula_values(n, ell, horizon + 2 * n + 2)
     detail = f"n={n} ell={ell} horizon={horizon}"
     for j in range(horizon):
         gamma = (
@@ -304,8 +304,8 @@ def reference_gale_robinson(n, ell, horizon):
 
 
 def reference_contiguity(n, ell, horizon):
-    lhs = verify.hankel_formula_values(n, ell + 1, horizon + 1)
-    rhs = verify.hankel_formula_values(n, ell, horizon + n + 2)
+    lhs = reports.hankel_formula_values(n, ell + 1, horizon + 1)
+    rhs = reports.hankel_formula_values(n, ell, horizon + n + 2)
     base = n * (n + 2 * ell - 1)
     detail = f"n={n} ell={ell} horizon={horizon}"
     for j in range(horizon + 1):
@@ -318,7 +318,7 @@ def reference_contiguity(n, ell, horizon):
 
 
 def corrupt_formula_values(monkeypatch, trial, corrupted_ells):
-    """Patch verify.hankel_formula_values so that the windows of the shifts
+    """Patch reports.hankel_formula_values so that the windows of the shifts
     in corrupted_ells get 1-3 entries overwritten. The corruption depends
     only on (trial, ell, count), so the fast checker and its reference
     read the same windows."""
@@ -333,7 +333,7 @@ def corrupt_formula_values(monkeypatch, trial, corrupted_ells):
                 values[pos] = rng.choice([-values[pos], -2, -1, 0, 1, 2, 3])
         return values
 
-    monkeypatch.setattr(verify, "hankel_formula_values", fake)
+    monkeypatch.setattr(reports, "hankel_formula_values", fake)
 
 
 def as_tuple(result):
@@ -393,7 +393,7 @@ def test_thmD_suite_reads_each_window_once_and_matches_check_contiguity(monkeypa
                     values[pos] = -values[pos] if value is None else value
         return values
 
-    monkeypatch.setattr(verify, "hankel_formula_values", fake)
+    monkeypatch.setattr(reports, "hankel_formula_values", fake)
     rng = random.Random(7)
     failures = 0
     for trial in range(40):
@@ -530,13 +530,14 @@ def test_stream_symmetries_all_pass():
 # --- first-mismatch reporting under corruption -------------------------------------
 #
 # Per-index reference loops for the checkers that report through
-# verify._compare_lists: each is the loop the checker ran before, and reads
-# the same (possibly corrupted) data through the verify module.
+# reports._compare_lists: each is the loop the checker ran before, and reads
+# the same (possibly corrupted) data through the modules the checker calls
+# into (`reports`, `template` and `hfrac`).
 
 
 def reference_delta_symmetry(n):
     M = (2 * n + 1) * (n + 1)
-    values = verify.hankel_formula_values(n, 0, M + 1)
+    values = reports.hankel_formula_values(n, 0, M + 1)
     sign = -1 if n * (n + 1) // 2 % 2 else 1
     detail = f"n={n} span={M}"
     for j in range(M + 1):
@@ -549,7 +550,7 @@ def reference_delta_symmetry(n):
 
 def reference_support_membership(n):
     top = 2 * n * (n + 2) + 1
-    values = verify.hankel_formula_values(n, 0, top + 1)
+    values = reports.hankel_formula_values(n, 0, top + 1)
     detail = f"n={n} max_index={top}"
     for j in range(top + 1):
         claimed = support_membership(n, j)[0]
@@ -562,7 +563,7 @@ def reference_support_membership(n):
 
 
 def reference_profile_identities(n):
-    prof = verify.support_profile(verify.expected_hfraction(n), 6 * n - 1)
+    prof = template.support_profile(template.expected_hfraction(n), 6 * n - 1)
     k, s, eps = prof.k_seq, prof.s_seq, prof.eps_seq
     detail = f"n={n}"
     out = []
@@ -609,7 +610,7 @@ def reference_profile_identities(n):
 
 
 def reference_hfraction_shape(n):
-    got = verify.hfraction_of_quadratic(metallic_model(n), metallic_step_cap(n))
+    got = hfrac.hfraction_of_quadratic(metallic_model(n), metallic_step_cap(n))
     want = expected_hfraction(n)
     detail = f"n={n}"
     if got == want:
@@ -632,7 +633,7 @@ def reference_hfraction_shape(n):
 
 
 def corrupt_support_profile(monkeypatch, trial):
-    """Patch verify.support_profile so that 1-3 entries of its k, s and eps
+    """Patch template.support_profile so that 1-3 entries of its k, s and eps
     sequences move by a small amount, seeded by (trial, horizon)."""
     true_profile = support_profile
 
@@ -645,14 +646,14 @@ def corrupt_support_profile(monkeypatch, trial):
             seq[rng.randrange(len(seq))] += rng.choice([-2, -1, 1, 2])
         return SupportProfile(*map(tuple, seqs))
 
-    monkeypatch.setattr(verify, "support_profile", fake)
+    monkeypatch.setattr(template, "support_profile", fake)
 
 
 HFRACTION_CORRUPTIONS = ("v", "k", "d", "doubled", "prefix", "extra")
 
 
 def corrupt_hfraction(monkeypatch, trial, kind):
-    """Patch verify.hfraction_of_quadratic so that the discovered fraction
+    """Patch hfrac.hfraction_of_quadratic so that the discovered fraction
     differs from the template in one seeded way: a term's v, k or D, a
     cycle stored twice (same stream), a terminated prefix (a shorter
     stream), or an extra preamble term (a shifted stream)."""
@@ -679,7 +680,7 @@ def corrupt_hfraction(monkeypatch, trial, kind):
             terms[i] = HFTerm(t.k, t.v, t.d + Poly.monomial(ZZ, t.k + 1))
         return PeriodicHFraction(terms[0], (), tuple(terms[1:]))
 
-    monkeypatch.setattr(verify, "hfraction_of_quadratic", fake)
+    monkeypatch.setattr(hfrac, "hfraction_of_quadratic", fake)
 
 
 def test_compare_lists_checkers_match_the_per_index_loops(monkeypatch):
