@@ -32,8 +32,10 @@ objects, so the command line runs only what a subcommand calls into
 Each module is kept under 2,000 AST nodes and 18,000 bytes of source:
 a request that compiles it without a bytecode cache peaks higher in
 memory and takes longer the larger the modules it compiles (see
-`tests/test_surface.py`). A module that lost names to a split still
-serves them, from their new module on first read (PEP 562).
+`tests/test_surface.py`). Each name has one home, its defining module,
+and the package serves it from there. Only `verify` and `hfrac` still
+serve names they no longer define, on first read (PEP 562): the eleven
+that the benchmark's tracer wraps on those two modules.
 """
 
 import importlib.util

@@ -6,9 +6,7 @@ floating point anywhere. The rest of the arithmetic sits beside it, one
 module each, so that a request compiles only what it calls:
 `poly` (the coefficient base, `Poly`, q-integers), `fields` (QQ, GF(p)
 and primality), `qseries.Series` and the integer determinant kernel
-`oracle.leading_minors`. The names that used to live here (`Poly`, `QQ`,
-`prime_field`, `is_prime`, ...) are still served by this module, from
-their new one on first read.
+`oracle.leading_minors`.
 
 Coefficients are plain Python values combined with plain operators
 (`+ - * **`, truthiness for zero tests). GF(p) arithmetic runs on
@@ -216,22 +214,3 @@ def det_fraction_free(rows, dom: Domain):
 
     return _bareiss_generic(dom, rows)
 
-
-# ---------------------------------------------------------------------------
-# Names defined elsewhere, served here on first read (PEP 562): binding
-# `poly` and `fields` as the package's lazy modules compiles neither, so
-# a request that never reads one of these never compiles its module
-
-_POLY = ("_Coeffs", "Poly", "format_terms")
-_FIELDS = ("RationalDomain", "QQ", "PrimeFieldDomain", "prime_field",
-           "PRIMALITY_BOUND", "is_prime", "_bareiss_generic")
-
-
-def __getattr__(name: str):
-    from . import fields, poly
-
-    if name in _POLY:
-        return getattr(poly, name)
-    if name in _FIELDS:
-        return getattr(fields, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,7 @@ q, so a fixed number of levels settles the coefficients below q^prec and
 no convergence test is needed.
 
 The greedy expansion of a series, the regular continued fractions in
-1/q and the dictionary between the two kinds are in `artin`; this module
-still serves their names from there.
+1/q and the dictionary between the two kinds are in `artin`.
 """
 
 from __future__ import annotations
@@ -208,15 +207,3 @@ class PeriodicHFraction(Record):
             terminated=self.terminated,
         )
 
-
-# the names that `artin` defines, served here on first read (PEP 562)
-_ARTIN = ("greedy_hfraction", "RegularCF", "artin_expand", "hf_to_artin",
-          "artin_to_hf")
-
-
-def __getattr__(name: str):
-    from . import artin
-
-    if name in _ARTIN:
-        return getattr(artin, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

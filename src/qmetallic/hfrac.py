@@ -14,7 +14,9 @@ a rotation of that cycle) and the product formula that evaluates every
 Hankel determinant of such a series are in `template`, which needs no
 expansion and no power series: `hfrac`, `hankel --source formula` and
 the theorem suites B-D run it without this module. This module still
-serves their names from there.
+serves two of its names, `expected_hfraction` and
+`hankel_values_from_hfraction`, because the benchmark's tracer wraps
+them here.
 
 The expansion runs in the model's own ring only. The metallic step
 coefficients are units (+-1), so integer models stay over ZZ; a model
@@ -270,9 +272,9 @@ def shifted_model_chain(n: int, ell: int) -> Model:
     return model
 
 
-# the names that `template` defines, served here on first read (PEP 562)
-_TEMPLATE = ("expected_hfraction", "hfraction_of_shift", "SupportProfile",
-             "support_profile", "hankel_values_from_hfraction")
+# the two `template` names that `bench/tracer.py` wraps on this module,
+# served here on first read (PEP 562)
+_TEMPLATE = ("expected_hfraction", "hankel_values_from_hfraction")
 
 
 def __getattr__(name: str):

@@ -10,8 +10,7 @@ that is a root of an explicit quadratic equation with polynomial
 coefficients; `metallic_model` builds that equation from the q-integer
 [n]_q = 1 + q + ... + q^(n-1) of `poly`, and `series_of_model` expands
 any such root as an exact power series. The q-rationals and the Catalan
-and Motzkin series are in `qrational`; this module still serves their
-names, and those of the q-integers, from there.
+and Motzkin series are in `qrational`, and `angle_bracket` in `poly`.
 
 Every builder here works over ZZ with plain ints: the objects of the
 paper are integral. A caller that needs another ring maps the result
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 from .algebra import Domain, PrecisionError, ZZ, Record
 from .poly import Poly, _Coeffs, format_terms, q_integer
-from .poly import angle_bracket  # re-exported: it was defined here
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +192,9 @@ def series_of_model(model: Model, prec: int) -> Series:
     visited, and g_m is summed over half its products by symmetry.
     Exact in the model's domain; O(prec^2) coefficient operations.
     """
+    if prec < 0:
+        raise PrecisionError("series precision must be >= 0")
     dom = model.dom
-    if prec <= 0:
-        return Series.zero(dom, max(prec, 0))
     a = list(model.a.coeffs) + [0] * max(0, prec - len(model.a.coeffs))
     b_terms = [(i, bi) for i, bi in enumerate(model.b.coeffs) if i and bi]
     c_terms = [(i, ci) for i, ci in enumerate(model.c.coeffs) if ci]
@@ -226,15 +224,3 @@ def metallic_series(n: int, prec: int) -> Series:
     """Taylor expansion of the q-metallic number Phi_n."""
     return series_of_model(metallic_model(n), prec)
 
-
-# the names that `qrational` defines, served here on first read (PEP 562)
-_QRATIONAL = ("continued_fraction_digits", "q_rational_pair", "q_rational",
-              "catalan_series", "motzkin_series")
-
-
-def __getattr__(name: str):
-    from . import qrational
-
-    if name in _QRATIONAL:
-        return getattr(qrational, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

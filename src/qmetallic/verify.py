@@ -17,8 +17,10 @@ baselines that pin the brute-force oracle to classical values), and the
 prime-field runs with cycle detection are in `modp`. This module binds
 every other module as the package's lazy module and calls through it,
 so thmB..thmD run neither the expansion nor `oracle`, `explicit` or
-`modp`. The checkers, `modp_analysis`, `is_prime` and the oracle's
-windows that it used to hold are still served here, from their modules.
+`modp`. Nine names that it used to hold are still served here, from
+their modules, because the benchmark's tracer wraps them here: the six
+checkers of `crosschecks`, `modp_analysis`, `is_prime` and
+`hankel_bruteforce_values`.
 
 Checks return data, not exceptions: a `reports.CheckResult` carries
 pass/fail plus the first counterexample, so a failing run is directly
@@ -90,6 +92,8 @@ def check_contiguity(n: int, ell: int, horizon: int) -> CheckResult:
     with the alternating sign (-1)^(j + n(n+2l-1)/2)."""
     if not 0 <= ell <= n:
         raise ValueError(f"contiguity links shifts ell..ell+1 for ell in 0..{n}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     lhs = reports.hankel_formula_values(n, ell + 1, horizon + 1)
     rhs = reports.hankel_formula_values(n, ell, horizon + n + 2)
     return _contiguity(n, ell, horizon, lhs, rhs)
@@ -177,8 +181,9 @@ def run_suite(suite: str, n_values) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Names defined elsewhere, served here on first read (PEP 562), so that a
-# request compiles their modules only when it calls into them
+# Names defined elsewhere that `bench/tracer.py` wraps on this module,
+# served here on first read (PEP 562), so that a request compiles their
+# modules only when it calls into them
 
 _CROSSCHECKS = (
     "check_explicit_reconstruction", "check_delta_symmetry",
@@ -196,6 +201,6 @@ def __getattr__(name: str):
         return modp.modp_analysis
     if name == "is_prime":
         return fields.is_prime
-    if name in ("hankel_bruteforce_values", "hankel_window"):
-        return getattr(oracle, name)
+    if name == "hankel_bruteforce_values":
+        return oracle.hankel_bruteforce_values
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ import pytest
 
 from qmetallic import CheckResult
 from qmetallic import cli, reports, verify
-from qmetallic.algebra import PRIMALITY_BOUND
+from qmetallic.fields import PRIMALITY_BOUND
 
 import goldens
 
@@ -475,10 +475,10 @@ def test_a_qq_expansion_loads_fractions_on_first_use():
     # denominator 1 and proper Fractions each keep their own encoding
     code = """
 import hashlib, json, sys
-from qmetallic import algebra, hfrac
+from qmetallic import fields, hfrac
 model = hfrac.shifted_model_chain(3, 5)
 before = "fractions" in sys.modules
-hf = hfrac.hfraction_of_quadratic(model.map_domain(algebra.QQ))
+hf = hfrac.hfraction_of_quadratic(model.map_domain(fields.QQ))
 levels = [list(map(str, hf.rendered(j))) for j in range(hf.n_stored_terms())]
 text = json.dumps([hf.to_json_dict(), levels], sort_keys=True)
 print(before, "fractions" in sys.modules, hf.dom, hashlib.sha256(text.encode()).hexdigest())

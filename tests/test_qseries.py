@@ -8,6 +8,7 @@ import pytest
 from qmetallic import (
     Model,
     Poly,
+    PrecisionError,
     Series,
     ZZ,
     QQ,
@@ -199,6 +200,16 @@ def test_sparse_recursion_matches_the_dense_one():
         model = random_model(rng, dom)
         for prec in (0, 1, 2, rng.randint(3, 40)):
             assert series_of_model(model, prec) == reference_series_of_model(model, prec)
+
+
+def test_a_negative_precision_raises_as_the_series_constructor_does():
+    with pytest.raises(PrecisionError, match="series precision must be >= 0"):
+        Series(ZZ, [], -1)
+    for prec in (-1, -3):
+        with pytest.raises(PrecisionError, match="series precision must be >= 0"):
+            metallic_series(2, prec)
+        with pytest.raises(PrecisionError, match="series precision must be >= 0"):
+            series_of_model(metallic_model(3).map_domain(prime_field(7)), prec)
 
 
 def test_metallic_model_rejects_nonpositive_index():

@@ -52,7 +52,7 @@ from qmetallic import (
     support_sets,
 )
 from qmetallic import hfrac, reports, template
-from qmetallic.algebra import PRIMALITY_BOUND
+from qmetallic.fields import PRIMALITY_BOUND
 from qmetallic.modp import _ultimate_period
 
 import goldens
@@ -265,6 +265,10 @@ def test_contiguity_small():
             assert check_contiguity(n, ell, 3 * n * (n + 1)).passed
     with pytest.raises(ValueError):
         check_contiguity(2, 3, 10)
+    # as gale_robinson_check does: an empty window would pass whatever the values
+    for check in (check_contiguity, gale_robinson_check):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            check(3, 0, -1)
 
 
 # Per-index reference loops for the whole-window checkers: each scans its
